@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 
 import numpy as np
 
-from .graph import Graph, Partition
+from .graph import Graph, Partition, _unique_sorted
 from .rng import as_generator
 from .sampling import SamplingSet, random_walk
 
@@ -37,18 +38,50 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+_NODE_ID = re.compile(r"[+-]?[0-9]+")
+
 
 def parse_edge_list(lines, drop_isolated=False):
     """Parse a whitespace edge list into a graph and an id mapping.
 
-    Self-loops are dropped (with a logged count); a node whose only
-    incident lines were self-loops is kept as an isolated node unless
-    ``drop_isolated`` is set. Returns ``(graph, id_map)`` where ``id_map``
-    maps external ids to dense internal ids.
+    Node ids are integers in ``[0, 2**63)``, written as ASCII digits with
+    an optional sign. Self-loops are dropped (with a logged count); a node
+    whose only incident lines were self-loops is kept as an isolated node
+    unless ``drop_isolated`` is set. Returns ``(graph, id_map)`` where
+    ``id_map`` maps external ids to dense internal ids. A malformed line
+    raises ``ValueError`` naming its line number.
     """
-    pairs = set()
-    loop_nodes = set()
-    loops = 0
+    lines = list(lines)
+    # most lines hold no "#", so test for it before stripping
+    body = [ln for ln in lines if "#" not in ln or not ln.lstrip().startswith("#")]
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if any(ln.strip() for ln in body):
+        try:
+            pairs = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            _raise_first_bad_line(lines, exc)
+        if pairs.shape[1] != 2 or pairs.min() < 0:
+            _raise_first_bad_line(lines, None)
+
+    loop = pairs[:, 0] == pairs[:, 1]
+    if loop.any():
+        log.warning(
+            "dropped %d self-loop line(s); their nodes stay isolated",
+            np.count_nonzero(loop),
+        )
+    edges = pairs[~loop]
+    # dense ids in ascending external order; a self-loop line contributes
+    # its node unless isolated nodes are dropped
+    ext = _unique_sorted((edges if drop_isolated else pairs).ravel())
+    if ext.size == 0:
+        raise ValueError("empty edge list: no usable nodes")
+    id_map = dict(zip(ext.tolist(), range(ext.size)))
+    return Graph(ext.size, np.searchsorted(ext, edges)), id_map
+
+
+def _raise_first_bad_line(lines, cause):
+    """Raise the ``line N:`` error for the first line that is not a pair of
+    node ids in ``[0, 2**63)``."""
     for lineno, raw in enumerate(lines, 1):
         s = raw.strip()
         if not s or s.startswith("#"):
@@ -58,30 +91,19 @@ def parse_edge_list(lines, drop_isolated=False):
             raise ValueError(
                 f"line {lineno}: expected two node ids, got {raw.rstrip()!r}"
             )
-        try:
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        if not all(_NODE_ID.fullmatch(tok) for tok in tokens):
             raise ValueError(
                 f"line {lineno}: non-integer node id in {raw.rstrip()!r}"
-            ) from None
-        if a < 0 or b < 0:
+            )
+        # compare digit strings: int() refuses strings over 4300 digits
+        digits = [tok.lstrip("+-").lstrip("0") for tok in tokens]
+        if any(tok[0] == "-" and d for tok, d in zip(tokens, digits)):
             raise ValueError(f"line {lineno}: negative node id")
-        if a == b:
-            loops += 1
-            loop_nodes.add(a)
-            continue
-        pairs.add((min(a, b), max(a, b)))
-    if loops:
-        log.warning("dropped %d self-loop line(s); their nodes stay isolated", loops)
-
-    ext_ids = {i for pair in pairs for i in pair}
-    if not drop_isolated:
-        ext_ids |= loop_nodes
-    if not ext_ids:
-        raise ValueError("empty edge list: no usable nodes")
-    id_map = {ext: dense for dense, ext in enumerate(sorted(ext_ids))}
-    edges = [(id_map[a], id_map[b]) for a, b in pairs]
-    return Graph(len(id_map), edges), id_map
+        if any(len(d) > 19 or int(d or "0") >= 2**63 for d in digits):
+            raise ValueError(
+                f"line {lineno}: node id outside [0, 2**63) in {raw.rstrip()!r}"
+            )
+    raise ValueError(f"malformed edge list: {cause}") from cause
 
 
 def write_edge_list(g, fh, comment=None):
@@ -94,10 +116,11 @@ def write_edge_list(g, fh, comment=None):
     if comment:
         for line in comment.splitlines():
             fh.write(f"# {line}\n")
-    for t, h in g.edges:
-        fh.write(f"{t} {h}\n")
-    for i in np.flatnonzero(g.degrees == 0):
-        fh.write(f"{i} {i}\n")
+    isolated = np.flatnonzero(g.degrees == 0).tolist()
+    fh.write(
+        "".join([f"{t} {h}\n" for t, h in g.edges.tolist()])
+        + "".join([f"{i} {i}\n" for i in isolated])
+    )
 
 
 def _read_csv_rows(fh, expected_header):
@@ -203,8 +226,9 @@ def extract_subgraph(g, walk_length, rng):
     path = random_walk(g, seed, walk_length, gen)
     keep = np.zeros(g.node_count, dtype=bool)
     keep[path] = True
-    for v in np.unique(path):
-        keep[g.adjacency[v]] = True
+    indptr = g.indptr
+    for v in set(path.tolist()):
+        keep[g.indices[indptr[v] : indptr[v + 1]]] = True
     kept = np.flatnonzero(keep)
     new_id = np.full(g.node_count, -1, dtype=np.int64)
     new_id[kept] = np.arange(kept.size)

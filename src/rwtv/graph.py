@@ -7,6 +7,8 @@ vectors of length ``node_count``; edge signals are float vectors of length
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -32,12 +34,19 @@ class Graph:
     lexicographically by ``(tail, head)``, so edge indices are stable and
     file round trips reproduce bit-exactly. Duplicate input edges are
     collapsed; self-loops are rejected. Isolated nodes are allowed.
+
+    Adjacency is stored once, in CSR form: the neighbors of node ``i`` are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending.
     """
 
     def __init__(self, node_count, edges):
         node_count = int(node_count)
         if node_count < 1:
             raise ValueError(f"node_count must be positive, got {node_count}")
+        if node_count > _MAX_NODES:
+            raise ValueError(
+                f"node_count must be at most {_MAX_NODES}, got {node_count}"
+            )
         e = np.asarray(edges, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -48,28 +57,28 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        pairs = np.column_stack([e.min(axis=1), e.max(axis=1)])
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        if pairs.shape[0] > 1:
-            keep = np.empty(pairs.shape[0], dtype=bool)
-            keep[0] = True
-            keep[1:] = np.any(pairs[1:] != pairs[:-1], axis=1)
-            pairs = pairs[keep]
+        # one int64 key per edge, tail * n + head: sorting the keys sorts
+        # the edges by (tail, head), and n * n < 2**63 keeps them exact
+        lo = np.minimum(e[:, 0], e[:, 1])
+        hi = np.maximum(e[:, 0], e[:, 1])
+        tails, heads = np.divmod(_unique_sorted(lo * node_count + hi), node_count)
+        # both directions of every edge, sorted by (source, neighbor)
+        both = np.sort(
+            np.concatenate([tails * node_count + heads, heads * node_count + tails])
+        )
+        src, indices = np.divmod(both, node_count)
+        degrees = np.bincount(src, minlength=node_count)
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
 
         self.node_count = node_count
-        self.edges = pairs
-        self.tails = pairs[:, 0]
-        self.heads = pairs[:, 1]
-        self.degrees = np.bincount(pairs.ravel(), minlength=node_count)
-
-        # neighbor lists, each sorted ascending
-        src = np.concatenate([self.tails, self.heads])
-        dst = np.concatenate([self.heads, self.tails])
-        order = np.lexsort((dst, src))
-        self.adjacency = np.split(dst[order], np.cumsum(self.degrees)[:-1])
-
-        for arr in (self.edges, self.degrees, *self.adjacency):
+        self.edges = np.column_stack([tails, heads])
+        self.tails = tails
+        self.heads = heads
+        self.degrees = degrees
+        self.indptr = indptr
+        self.indices = indices
+        for arr in (self.edges, tails, heads, degrees, indptr, indices):
             arr.setflags(write=False)
 
     @property
@@ -80,8 +89,20 @@ class Graph:
     def max_degree(self):
         return int(self.degrees.max())
 
+    @functools.cached_property
+    def adjacency(self):
+        """Neighbor arrays, one read-only view of ``indices`` per node."""
+        return tuple(np.split(self.indices, self.indptr[1:-1]))
+
+    @functools.cached_property
+    def _neighbor_lists(self):
+        # plain-int neighbor lists, filled in by walks on first visit: a walk
+        # steps faster over Python lists than through numpy indexing
+        return [None] * self.node_count
+
     def neighbors(self, i):
-        return self.adjacency[_check_node(self, i)]
+        i = _check_node(self, i)
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -94,6 +115,22 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
+
+
+# largest node count whose edge keys tail * n + head fit in an int64
+_MAX_NODES = 3_037_000_499
+
+
+def _unique_sorted(a):
+    """Distinct values of an int array, ascending.
+
+    Sort plus an adjacent-duplicate mask, which is far faster than
+    ``np.unique`` on arrays of 1e5 and more entries.
+    """
+    a = np.sort(a)
+    if a.size > 1:
+        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a
 
 
 class Partition:
@@ -248,37 +285,48 @@ def clustered_signal(part, coefficients):
     return coefficients[part.labels]
 
 
+def _bfs_levels(g, start, level):
+    """Breadth-first sweep from ``start`` over its component.
+
+    Writes each reached node's distance from ``start`` into ``level``;
+    entries below 0 mark nodes not reached yet. Each step gathers the CSR
+    neighbor slices of the whole frontier at once.
+    """
+    level[start] = 0
+    frontier = np.array([start], dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        counts = g.degrees[frontier]
+        ends = np.cumsum(counts)
+        # the frontier's neighbor slices back to back: the run of node f
+        # starts at ends - counts and reads indices from indptr[f] on
+        shift = np.repeat(g.indptr[frontier] - (ends - counts), counts)
+        nb = g.indices[shift + np.arange(ends[-1])]
+        frontier = _unique_sorted(nb[level[nb] < 0])
+        level[frontier] = depth
+
+
 def is_connected(g):
     """True when every node is reachable from node 0."""
-    seen = np.zeros(g.node_count, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    level = np.full(g.node_count, -1, dtype=np.int64)
+    _bfs_levels(g, 0, level)
+    return bool(np.all(level >= 0))
 
 
 def is_bipartite(g):
-    """True when the nodes admit a proper 2-coloring."""
-    color = np.full(g.node_count, -1, dtype=np.int8)
+    """True when the nodes admit a proper 2-coloring.
+
+    Breadth-first level parity is a proper 2-coloring whenever one exists,
+    so the graph is bipartite iff no edge joins two levels of equal parity.
+    """
+    level = np.full(g.node_count, -1, dtype=np.int64)
+    level[g.degrees == 0] = 0
     for start in range(g.node_count):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(int(w))
-                elif color[w] == color[v]:
-                    return False
-    return True
+        if level[start] < 0:
+            _bfs_levels(g, start, level)
+    parity = level & 1
+    return bool(np.all(parity[g.tails] != parity[g.heads]))
 
 
 def incidence_norm_sq(g, iterations=200, seed=0):

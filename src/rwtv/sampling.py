@@ -118,21 +118,23 @@ def random_walk(g, seed_node, length, rng):
     if length < 1:
         raise ValueError(f"walk length must be >= 1, got {length}")
     gen = as_generator(rng)
-    path = np.empty(length, dtype=np.int64)
-    path[0] = v
-    if length == 1:
-        return path
-    u = gen.random(length - 1)
-    adj = g.adjacency
-    for t in range(1, length):
+    adj = g._neighbor_lists
+    indptr, indices = g.indptr, g.indices
+    path = [v]
+    for u in gen.random(length - 1).tolist():
         nb = adj[v]
-        if nb.size:
+        if nb is None:
+            nb = adj[v] = indices[indptr[v] : indptr[v + 1]].tolist()
+        size = len(nb)
+        if size:
+            k = int(u * size)
             # u < 1, but u * size can still round up to size at the last
             # representable double; clamp so the index stays valid
-            idx = min(int(u[t - 1] * nb.size), nb.size - 1)
-            v = int(nb[idx])
-        path[t] = v
-    return path
+            if k == size:
+                k -= 1
+            v = nb[k]
+        path.append(v)
+    return np.array(path, dtype=np.int64)
 
 
 def random_walk_sampling(g, cfg, rng):

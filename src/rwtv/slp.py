@@ -125,7 +125,7 @@ def slp_recover(g, m, samples, cfg=None):
     z = np.zeros(n)
     avg = np.zeros(n)
     avg_prev = np.empty(n)
-    trace = np.empty(cfg.max_iterations)
+    trace = []  # grows with the iterations run, not with max_iterations
 
     k = 0
     while k < cfg.max_iterations:
@@ -139,14 +139,14 @@ def slp_recover(g, m, samples, cfg=None):
         k += 1
         np.copyto(avg_prev, avg)
         avg += (x - avg) / k
-        trace[k - 1] = np.abs(avg[heads] - avg[tails]).sum()
+        trace.append(np.abs(avg[heads] - avg[tails]).sum())
         change = np.linalg.norm(avg - avg_prev)
         if change < cfg.rel_change_tol * max(np.linalg.norm(avg), 1e-12):
             break
 
     avg.setflags(write=False)
     return SlpResult(
-        recovered=avg, iterations_run=k, objective_trace=trace[:k].copy()
+        recovered=avg, iterations_run=k, objective_trace=np.array(trace)
     )
 
 

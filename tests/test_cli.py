@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rwtv import Graph, Partition, SamplingSet
+from rwtv import Graph, Partition, SamplingSet, SlpConfig, slp_recover
 from rwtv.cli import main
 from rwtv.fileio import (
     parse_edge_list,
@@ -152,6 +152,33 @@ def test_recover_with_observations_only_prints_no_nmse(tmp_path, capsys):
     x_hat = read_signal(open(out), 8)
     assert x_hat[:4] == pytest.approx(np.ones(4), abs=1e-2)
     assert x_hat[4:] == pytest.approx(np.zeros(4), abs=1e-2)
+
+
+def test_recover_iteration_cap_far_above_iterations_run(tmp_path, capsys):
+    # the objective trace grows with the iterations run, so a cap of 1e12
+    # allocates nothing up front
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    m = SamplingSet(nodes=np.array([0, 3]), budget=2)
+    gp, sp, xp = tmp_path / "g.txt", tmp_path / "m.csv", tmp_path / "x.csv"
+    with open(gp, "w") as fh:
+        write_edge_list(g, fh)
+    with open(sp, "w", newline="") as fh:
+        write_sampling(m, fh)
+    with open(xp, "w", newline="") as fh:
+        write_signal([0.0, 1.0, 2.0, 3.0], fh)
+    code = main(
+        [
+            "recover", "--graph", str(gp), "--samples", str(sp),
+            "--signal", str(xp), "--max-iter", "1000000000000",
+            "--out", str(tmp_path / "xhat.csv"),
+        ]
+    )
+    assert code == 0
+    assert "recovered in" in capsys.readouterr().out
+    result = slp_recover(
+        g, m, [0.0, 3.0], SlpConfig(max_iterations=10**12)
+    )
+    assert result.objective_trace.shape == (result.iterations_run,)
 
 
 def test_recover_with_partial_non_matching_signal_exits_1(tmp_path):

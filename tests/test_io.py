@@ -53,6 +53,36 @@ def test_parse_malformed_line_reports_number():
         parse("-1 2\n")
 
 
+def test_parse_errors_name_the_line():
+    cases = [
+        ("0 1\n0 1 # x\n", "line 2: expected two node ids"),
+        (f"# ids\n0 1\n{2**63} 1\n", "line 3: node id outside"),
+        (f"0 {2**63 - 1}\n1 1{'0' * 5000}\n", "line 2: node id outside"),
+        ("0 1\n\n1_0 2\n", "line 3: non-integer"),
+        ("0 1\n1.0 2\n", "line 2: non-integer"),
+        ("0 1\n2 3\n4 -5\n", "line 3: negative"),
+        ("0 1 2\n", "line 1: expected two node ids"),
+        ("7\n", "line 1: expected two node ids"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse(text)
+
+
+def test_parse_largest_id_and_signs():
+    g, id_map = parse(f"{2**63 - 1} +3\n-0 3\n")
+    assert id_map == {0: 0, 3: 1, 2**63 - 1: 2}
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_parse_tabs_and_crlf():
+    expected, _ = parse("# c\n5 7\n7 9\n")
+    for text in ("# c\r\n5\t7\r\n7 9\r\n", "# c\n5\t7\n\t7\t9\t\n"):
+        g, id_map = parse(text)
+        assert g == expected
+        assert id_map == {5: 0, 7: 1, 9: 2}
+
+
 def test_parse_empty_file_rejected():
     with pytest.raises(ValueError, match="empty"):
         parse("")

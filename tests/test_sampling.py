@@ -77,6 +77,39 @@ def test_walk_deterministic_per_seed():
     assert np.array_equal(p1, p2)
 
 
+def reference_walk(g, seed_node, length, gen):
+    # the walk's definition over neighbor lists built from g.edges: one
+    # uniform draw per step, scaled to the current node's degree
+    nbrs = [[] for _ in range(g.node_count)]
+    for t, h in g.edges.tolist():
+        nbrs[t].append(h)
+        nbrs[h].append(t)
+    path = [seed_node]
+    for u in gen.random(length - 1):
+        nb = sorted(nbrs[path[-1]])
+        path.append(nb[min(int(u * len(nb)), len(nb) - 1)] if nb else path[-1])
+    return path
+
+
+def test_walk_matches_reference_walk():
+    graphs_ = [
+        complete_graph(5),
+        two_cliques_with_bridge()[0],
+        Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)]),  # nodes 3 and 6 isolated
+        generate_appm(BENCH, RngSeed(4).generator())[0],
+    ]
+    for g in graphs_:
+        for seed in range(6):
+            start = seed % g.node_count
+            for length in (1, 2, 17, 200):
+                expected = reference_walk(
+                    g, start, length, RngSeed(seed).generator()
+                )
+                path = random_walk(g, start, length, RngSeed(seed).generator())
+                assert path.dtype == np.int64
+                assert path.tolist() == expected
+
+
 # ----------------------------------------------------------- walk sampling
 
 def test_full_budget_exhausts_nodes():
