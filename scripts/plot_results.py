@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render benchmark CSVs (from run_benchmarks.py) as PNG figures.
+"""Render `rwtv experiment table1|table2|clusterstats` CSVs as PNG figures.
 
 Not part of the test surface; requires matplotlib.
 """

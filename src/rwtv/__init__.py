@@ -24,7 +24,6 @@ from .sampling import (
     check_nullspace_condition,
     random_walk,
     random_walk_sampling,
-    sampling_probability_estimate,
     stationary_distribution,
     uniform_sampling,
 )
@@ -35,6 +34,7 @@ from .synth import (
     expected_degree,
     generate_appm,
     random_clustered_signal,
+    sampling_probability_estimate,
 )
 
 __all__ = [

@@ -15,16 +15,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from .experiments import (
     BENCHMARK_SLP,
     TABLE1_BUDGETS,
+    TABLE2_BUDGET,
     TABLE2_LENGTHS,
+    aggregate_rows,
     benchmark_trial_spec,
-    run_table1,
-    run_table2,
-    run_cluster_stats,
+    run_sweep,
     write_cluster_summary_csv,
     write_summary_csv,
     write_trials_csv,
@@ -32,9 +30,9 @@ from .experiments import (
 from .fileio import (
     extract_subgraph,
     parse_edge_list,
+    read_observations,
     read_partition,
     read_sampling,
-    read_signal_rows,
     write_edge_list,
     write_partition,
     write_sampling,
@@ -145,27 +143,7 @@ def _cmd_recover(args):
     with open(args.samples) as fh:
         m = read_sampling(fh, g.node_count)
     with open(args.signal) as fh:
-        ids, values = read_signal_rows(fh)
-    if np.unique(ids).size != ids.size:
-        raise ValueError("signal file contains duplicate node ids")
-    if ids.size and (ids.min() < 0 or ids.max() >= g.node_count):
-        raise ValueError("signal file contains unknown node ids")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("signal file contains non-finite values")
-
-    lookup = dict(zip(ids.tolist(), values.tolist()))
-    if ids.size == g.node_count:
-        truth = np.empty(g.node_count)
-        truth[ids] = values
-        observed = truth[m.nodes]
-    elif set(ids.tolist()) == set(m.nodes.tolist()):
-        truth = None
-        observed = np.array([lookup[int(i)] for i in m.nodes])
-    else:
-        raise ValueError(
-            "signal file must cover either every node (truth) or exactly "
-            "the sampled nodes (observations)"
-        )
+        observed, truth = read_observations(fh, m, g.node_count)
 
     cfg = SlpConfig(max_iterations=args.max_iter, rel_change_tol=args.tol)
     result = slp_recover(g, m, observed, cfg)
@@ -180,26 +158,25 @@ def _cmd_experiment(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = benchmark_trial_spec(runs=args.runs, seed=args.seed, slp=BENCHMARK_SLP)
-    collected = []
     if args.which == "table1":
-        summaries = run_table1(
-            base, TABLE1_BUDGETS, workers=args.workers, collect=collected
-        )
-        _write_sweep(out_dir, "table1", "budget", TABLE1_BUDGETS, summaries, collected)
+        param, values = "budget", TABLE1_BUDGETS
+        walks = [WalkConfig(base.walk.length, b) for b in values]
     elif args.which == "table2":
-        summaries = run_table2(
-            base, TABLE2_LENGTHS, workers=args.workers, collect=collected
-        )
-        _write_sweep(
-            out_dir, "table2", "walk_length", TABLE2_LENGTHS, summaries, collected
-        )
+        param, values = "walk_length", TABLE2_LENGTHS
+        walks = [WalkConfig(length, TABLE2_BUDGET) for length in values]
     else:
-        summary = run_cluster_stats(base, workers=args.workers, collect=collected)
-        _, rows, _ = collected[0]
+        param, values, walks = None, [None], [base.walk]
+    k = base.appm.cluster_count
+    results = run_sweep(base, walks, workers=args.workers)
+    summaries = [aggregate_rows(rows, k, failures) for _, rows, failures in results]
+    for value, (_, rows, _) in zip(values, results):
+        suffix = f"_{param}{value}" if param else ""
         _atomic_write(
-            out_dir / "clusterstats_trials.csv",
-            lambda fh: write_trials_csv(fh, rows, base.appm.cluster_count),
+            out_dir / f"{args.which}_trials{suffix}.csv",
+            lambda fh, rows=rows: write_trials_csv(fh, rows, k),
         )
+    if param is None:
+        (summary,) = summaries
         _atomic_write(
             out_dir / "clusterstats_clusters.csv",
             lambda fh: write_cluster_summary_csv(fh, summary),
@@ -209,18 +186,9 @@ def _cmd_experiment(args):
             zip(summary.per_cluster_mean_samples, summary.per_cluster_mean_cut)
         ):
             print(f"cluster {c}: mean samples {s:.4g}, mean cut {cut:.4g}")
-    return 0
-
-
-def _write_sweep(out_dir, name, param, values, summaries, collected):
-    k = collected[0][0].appm.cluster_count
-    for value, (_, rows, _) in zip(values, collected):
-        _atomic_write(
-            out_dir / f"{name}_trials_{param}{value}.csv",
-            lambda fh, rows=rows: write_trials_csv(fh, rows, k),
-        )
+        return 0
     _atomic_write(
-        out_dir / f"{name}_summary.csv",
+        out_dir / f"{args.which}_summary.csv",
         lambda fh: write_summary_csv(fh, param, values, summaries),
     )
     for value, s in zip(values, summaries):
@@ -228,6 +196,7 @@ def _write_sweep(out_dir, name, param, values, summaries, collected):
             f"{param}={value}: mean NMSE {s.mean_nmse:.6g} "
             f"(std {s.std_nmse:.6g}, failures {s.failures})"
         )
+    return 0
 
 
 def _cmd_extract_subgraph(args):
@@ -254,6 +223,14 @@ def _build_parser():
         "of clustered graph signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # edge-list input shared by the commands that read a graph file
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("--graph", required=True)
+    graph_input.add_argument(
+        "--drop-isolated",
+        action="store_true",
+        help="drop nodes whose only edge-list lines were self-loops",
+    )
 
     p = sub.add_parser("generate-appm", help="draw a planted-partition graph")
     p.add_argument("--sizes", required=True, help="comma-separated cluster sizes")
@@ -270,13 +247,7 @@ def _build_parser():
     )
     p.set_defaults(func=_cmd_generate_appm)
 
-    p = sub.add_parser("sample", help="build a sampling set")
-    p.add_argument("--graph", required=True)
-    p.add_argument(
-        "--drop-isolated",
-        action="store_true",
-        help="drop nodes whose only edge-list lines were self-loops",
-    )
+    p = sub.add_parser("sample", help="build a sampling set", parents=[graph_input])
     p.add_argument("--method", choices=["walk", "uniform"], required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--walk-length", type=int, default=10)
@@ -284,23 +255,15 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("check", help="verify the exact-recovery condition")
-    p.add_argument("--graph", required=True)
-    p.add_argument(
-        "--drop-isolated",
-        action="store_true",
-        help="drop nodes whose only edge-list lines were self-loops",
+    p = sub.add_parser(
+        "check", help="verify the exact-recovery condition", parents=[graph_input]
     )
     p.add_argument("--partition", required=True)
     p.add_argument("--samples", required=True)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("recover", help="recover a signal from samples")
-    p.add_argument("--graph", required=True)
-    p.add_argument(
-        "--drop-isolated",
-        action="store_true",
-        help="drop nodes whose only edge-list lines were self-loops",
+    p = sub.add_parser(
+        "recover", help="recover a signal from samples", parents=[graph_input]
     )
     p.add_argument("--samples", required=True)
     p.add_argument(
@@ -325,13 +288,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser(
-        "extract-subgraph", help="induced neighborhood of one random walk"
-    )
-    p.add_argument("--graph", required=True)
-    p.add_argument(
-        "--drop-isolated",
-        action="store_true",
-        help="drop nodes whose only edge-list lines were self-loops",
+        "extract-subgraph",
+        help="induced neighborhood of one random walk",
+        parents=[graph_input],
     )
     p.add_argument("--walk-length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

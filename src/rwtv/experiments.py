@@ -3,8 +3,9 @@
 Each trial draws a fresh planted-partition graph and clustered signal,
 builds a walk-based sampling set, recovers the signal, and records the
 normalized recovery error together with per-cluster sampling statistics.
-Sweeps aggregate trials into mean/STD summaries and can dump per-trial
-and summary CSV files.
+A sweep runs one batch of trials per walk configuration; its rows
+aggregate into mean/STD summaries and dump to per-trial and summary CSV
+files.
 
 Trial RNG streams derive from the spec's master seed plus the trial
 index; sweep variants are offset by ``variant_index << 32``, so results
@@ -43,9 +44,7 @@ __all__ = [
     "run_trial",
     "run_trials",
     "aggregate_rows",
-    "run_table1",
-    "run_table2",
-    "run_cluster_stats",
+    "run_sweep",
     "write_trials_csv",
     "read_trials_csv",
     "write_summary_csv",
@@ -67,8 +66,6 @@ CLUSTER_STATS_BUDGET = 50
 # mean NMSE over 1000-run sweeps stays within ~0.02 of fully converged
 # solves while keeping a trial around 20 ms.
 BENCHMARK_SLP = SlpConfig(max_iterations=5000, rel_change_tol=1e-5)
-
-_VARIANT_STRIDE = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -205,68 +202,21 @@ def aggregate_rows(rows, cluster_count, failures=0):
     )
 
 
-def _sweep(base, variants, workers):
-    """Run one spec per variant; each variant gets its own stream block."""
+def run_sweep(base, walks, workers=1):
+    """Run the base spec once per walk configuration, in order.
+
+    Returns one ``(spec, rows, failures)`` tuple per entry of ``walks``;
+    :func:`aggregate_rows` summarizes each. Variant ``i`` draws from the
+    stream block ``base.master_seed.substream(i << 32)``.
+    """
     out = []
-    for i, spec in enumerate(variants):
+    for i, walk in enumerate(walks):
         spec = replace(
-            spec, master_seed=base.master_seed.substream(i * _VARIANT_STRIDE)
+            base, walk=walk, master_seed=base.master_seed.substream(i << 32)
         )
         rows, failures = run_trials(spec, workers=workers)
         out.append((spec, rows, failures))
     return out
-
-
-def run_table1(base, budgets=TABLE1_BUDGETS, workers=1, collect=None):
-    """Sweep the sampling budget, all other parameters fixed.
-
-    Returns one :class:`TrialSummary` per budget. When ``collect`` is a
-    list, the per-variant ``(spec, rows, failures)`` tuples are appended
-    to it for CSV dumping.
-    """
-    if not budgets:
-        raise ValueError("budgets must be nonempty")
-    variants = [
-        replace(base, walk=WalkConfig(base.walk.length, int(b))) for b in budgets
-    ]
-    results = _sweep(base, variants, workers)
-    if collect is not None:
-        collect.extend(results)
-    return [
-        aggregate_rows(rows, base.appm.cluster_count, failures)
-        for _, rows, failures in results
-    ]
-
-
-def run_table2(base, lengths=TABLE2_LENGTHS, workers=1, collect=None):
-    """Sweep the walk length at a fixed budget of ``TABLE2_BUDGET``."""
-    if not lengths:
-        raise ValueError("lengths must be nonempty")
-    variants = [
-        replace(base, walk=WalkConfig(int(length), TABLE2_BUDGET))
-        for length in lengths
-    ]
-    results = _sweep(base, variants, workers)
-    if collect is not None:
-        collect.extend(results)
-    return [
-        aggregate_rows(rows, base.appm.cluster_count, failures)
-        for _, rows, failures in results
-    ]
-
-
-def run_cluster_stats(base, workers=1, collect=None):
-    """Per-cluster sampling statistics of the base spec.
-
-    The reference benchmark uses budget ``CLUSTER_STATS_BUDGET`` and walk
-    length ``BENCHMARK_WALK_LENGTH``, which :func:`benchmark_trial_spec`
-    provides by default.
-    """
-    results = _sweep(base, [base], workers)
-    if collect is not None:
-        collect.extend(results)
-    _, rows, failures = results[0]
-    return aggregate_rows(rows, base.appm.cluster_count, failures)
 
 
 def write_trials_csv(fh, rows, cluster_count):

@@ -29,6 +29,7 @@ __all__ = [
     "read_signal",
     "write_signal",
     "read_signal_rows",
+    "read_observations",
     "read_partition",
     "write_partition",
     "read_sampling",
@@ -144,6 +145,35 @@ def read_signal_rows(fh):
     ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
     values = np.array([float(r[1]) for r in rows])
     return ids, values
+
+
+def read_observations(fh, m, node_count):
+    """Signal values on the sampling set ``m``, read from a signal CSV that
+    covers either every node (truth) or exactly the sampled nodes.
+
+    Returns ``(observed, truth)``: ``observed[j]`` is the value of node
+    ``m.nodes[j]``, and ``truth`` is the full signal, or ``None`` when the
+    file holds only the observations.
+    """
+    ids, values = read_signal_rows(fh)
+    if np.unique(ids).size != ids.size:
+        raise ValueError("signal file contains duplicate node ids")
+    if ids.size and (ids.min() < 0 or ids.max() >= node_count):
+        raise ValueError("signal file contains unknown node ids")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("signal file contains non-finite values")
+    if ids.size == node_count:
+        truth = np.empty(node_count)
+        truth[ids] = values
+        return truth[m.nodes], truth
+    # distinct ids equal the (sorted) sampled nodes iff they sort to them
+    order = np.argsort(ids)
+    if not np.array_equal(ids[order], m.nodes):
+        raise ValueError(
+            "signal file must cover either every node (truth) or exactly "
+            "the sampled nodes (observations)"
+        )
+    return values[order], None
 
 
 def read_signal(fh, node_count):

@@ -285,48 +285,48 @@ def clustered_signal(part, coefficients):
     return coefficients[part.labels]
 
 
-def _bfs_levels(g, start, level):
-    """Breadth-first sweep from ``start`` over its component.
+def _component_labels(n, tails, heads):
+    """Connected-component label of each of ``n`` nodes: the smallest node id
+    in its component.
 
-    Writes each reached node's distance from ``start`` into ``level``;
-    entries below 0 mark nodes not reached yet. Each step gathers the CSR
-    neighbor slices of the whole frontier at once.
+    Labels form a forest whose parents have smaller ids. Each round hooks
+    the larger root of every edge whose endpoints have different roots onto
+    the smaller, then pointer-jumps every node to its root, so the number of
+    rounds does not grow with the graph's diameter. An edge whose endpoints
+    share a root keeps sharing it, so each round drops those edges.
     """
-    level[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        depth += 1
-        counts = g.degrees[frontier]
-        ends = np.cumsum(counts)
-        # the frontier's neighbor slices back to back: the run of node f
-        # starts at ends - counts and reads indices from indptr[f] on
-        shift = np.repeat(g.indptr[frontier] - (ends - counts), counts)
-        nb = g.indices[shift + np.arange(ends[-1])]
-        frontier = _unique_sorted(nb[level[nb] < 0])
-        level[frontier] = depth
+    label = np.arange(n)
+    lt, lh = tails, heads
+    while lt.size:
+        np.minimum.at(label, np.maximum(lt, lh), np.minimum(lt, lh))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+        lt, lh = label[tails], label[heads]
+        cross = np.flatnonzero(lt != lh)
+        tails, heads, lt, lh = tails[cross], heads[cross], lt[cross], lh[cross]
+    return label
 
 
 def is_connected(g):
     """True when every node is reachable from node 0."""
-    level = np.full(g.node_count, -1, dtype=np.int64)
-    _bfs_levels(g, 0, level)
-    return bool(np.all(level >= 0))
+    return bool(np.all(_component_labels(g.node_count, g.tails, g.heads) == 0))
 
 
 def is_bipartite(g):
     """True when the nodes admit a proper 2-coloring.
 
-    Breadth-first level parity is a proper 2-coloring whenever one exists,
-    so the graph is bipartite iff no edge joins two levels of equal parity.
+    In the bipartite double cover, with nodes ``i`` and ``i + n`` and edges
+    ``(t, h + n)`` and ``(t + n, h)``, a node and its copy share a component
+    iff an odd cycle passes through the node's component.
     """
-    level = np.full(g.node_count, -1, dtype=np.int64)
-    level[g.degrees == 0] = 0
-    for start in range(g.node_count):
-        if level[start] < 0:
-            _bfs_levels(g, start, level)
-    parity = level & 1
-    return bool(np.all(parity[g.tails] != parity[g.heads]))
+    n = g.node_count
+    label = _component_labels(
+        2 * n,
+        np.concatenate([g.tails, g.tails + n]),
+        np.concatenate([g.heads + n, g.heads]),
+    )
+    return bool(np.all(label[:n] != label[n:]))
 
 
 def incidence_norm_sq(g, iterations=200, seed=0):

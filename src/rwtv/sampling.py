@@ -28,7 +28,6 @@ __all__ = [
     "uniform_sampling",
     "stationary_distribution",
     "check_nullspace_condition",
-    "sampling_probability_estimate",
 ]
 
 
@@ -221,20 +220,3 @@ def check_nullspace_condition(g, part, m):
         satisfied=not violations, violations=tuple(violations)
     )
 
-
-def sampling_probability_estimate(spec, cluster_id):
-    """Model-level estimate of the long-walk endpoint probability for one node
-    of the given cluster: expected degree over twice the expected edge count.
-    """
-    r = spec._check_cluster(cluster_id)
-    sizes = np.asarray(spec.cluster_sizes, dtype=np.float64)
-    n = spec.node_count
-    expected_edges = (
-        spec.p_intra * float(np.sum(sizes * (sizes - 1))) / 2.0
-        + spec.q_inter * (n * n - float(np.sum(sizes * sizes))) / 2.0
-    )
-    if expected_edges <= 0.0:
-        raise ValueError("degenerate model: expected edge count is zero")
-    n_r = spec.cluster_sizes[r]
-    mean_degree = spec.p_intra * (n_r - 1) + spec.q_inter * (n - n_r)
-    return mean_degree / (2.0 * expected_edges)

@@ -33,7 +33,7 @@ from rwtv import (
     total_variation,
     uniform_sampling,
 )
-from rwtv.experiments import benchmark_trial_spec, run_cluster_stats, run_table1, run_table2
+from rwtv.experiments import TABLE2_BUDGET, aggregate_rows, benchmark_trial_spec, run_sweep
 from rwtv.fileio import extract_subgraph, parse_edge_list, read_signal_rows
 from lp_oracle import tv_min_lp
 
@@ -50,7 +50,8 @@ def _report(name, ok, detail=""):
 
 def test_criterion_1_budget_sweep_error_decreases():
     base = benchmark_trial_spec(runs=RUNS, seed=101)
-    summaries = run_table1(base, budgets=(10, 20, 30, 40, 50))
+    walks = [WalkConfig(base.walk.length, b) for b in (10, 20, 30, 40, 50)]
+    summaries = [aggregate_rows(rows, 4, f) for _, rows, f in run_sweep(base, walks)]
     means = [s.mean_nmse for s in summaries]
     inversions = [
         later - earlier for earlier, later in zip(means, means[1:]) if later > earlier
@@ -72,7 +73,8 @@ def test_criterion_1_budget_sweep_error_decreases():
 
 def test_criterion_2_walk_length_sweep_is_flat():
     base = benchmark_trial_spec(runs=RUNS, seed=202)
-    summaries = run_table2(base, lengths=(20, 40, 80, 160, 320))
+    walks = [WalkConfig(n, TABLE2_BUDGET) for n in (20, 40, 80, 160, 320)]
+    summaries = [aggregate_rows(rows, 4, f) for _, rows, f in run_sweep(base, walks)]
     means = [s.mean_nmse for s in summaries]
     spread = max(means) - min(means)
     ok = spread <= 0.10
@@ -89,7 +91,8 @@ def test_criterion_2_walk_length_sweep_is_flat():
 
 def test_criterion_3_samples_proportional_to_cut_sizes():
     base = benchmark_trial_spec(runs=RUNS, seed=303)
-    summary = run_cluster_stats(base)
+    _, rows, failures = run_sweep(base, [base.walk])[0]
+    summary = aggregate_rows(rows, 4, failures)
     samples = np.array(summary.per_cluster_mean_samples)
     cuts = np.array(summary.per_cluster_mean_cut)
     r = float(np.corrcoef(samples, cuts)[0, 1])

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from rwtv.experiments import (
     aggregate_rows,
     benchmark_trial_spec,
     read_trials_csv,
-    run_cluster_stats,
-    run_table1,
-    run_table2,
+    run_sweep,
     run_trial,
     run_trials,
     write_trials_csv,
@@ -136,8 +135,9 @@ def test_failed_trials_recorded_and_excluded(monkeypatch):
 def test_run_table1_shapes_and_reproducibility():
     base = small_spec(runs=3)
     budgets = (3, 6)
-    s1 = run_table1(base, budgets)
-    s2 = run_table1(base, budgets)
+    walks = [WalkConfig(base.walk.length, b) for b in budgets]
+    s1 = [aggregate_rows(rows, 2, f) for _, rows, f in run_sweep(base, walks)]
+    s2 = [aggregate_rows(rows, 2, f) for _, rows, f in run_sweep(base, walks)]
     assert len(s1) == 2
     assert s1 == s2
     for budget, summary in zip(budgets, s1):
@@ -147,8 +147,10 @@ def test_run_table1_shapes_and_reproducibility():
 
 def test_run_table2_uses_fixed_budget():
     base = small_spec(runs=2)
-    collected = []
-    summaries = run_table2(base, lengths=(3, 5), collect=collected)
+    collected = run_sweep(
+        base, [WalkConfig(n, rwtv.experiments.TABLE2_BUDGET) for n in (3, 5)]
+    )
+    summaries = [aggregate_rows(rows, 2, f) for _, rows, f in collected]
     assert len(summaries) == 2
     for spec, rows, _ in collected:
         assert spec.walk.budget == rwtv.experiments.TABLE2_BUDGET
@@ -158,11 +160,25 @@ def test_run_table2_uses_fixed_budget():
 
 def test_run_cluster_stats_summary():
     base = small_spec(runs=5)
-    summary = run_cluster_stats(base)
+    _, rows, failures = run_sweep(base, [base.walk])[0]
+    summary = aggregate_rows(rows, 2, failures)
     assert len(summary.per_cluster_mean_samples) == 2
     assert sum(summary.per_cluster_mean_samples) == pytest.approx(
         base.walk.budget
     )
+
+
+def test_run_sweep_variant_streams():
+    base = small_spec(runs=3)
+    walks = [WalkConfig(4, 3), WalkConfig(6, 5), WalkConfig(8, 4)]
+    results = run_sweep(base, walks)
+    assert len(results) == len(walks)
+    for i, (walk, (spec, rows, failures)) in enumerate(zip(walks, results)):
+        expected = replace(
+            base, walk=walk, master_seed=base.master_seed.substream(i << 32)
+        )
+        assert spec == expected
+        assert (rows, failures) == run_trials(expected)
 
 
 def test_benchmark_spec_defaults():

@@ -138,6 +138,35 @@ def test_connectivity_and_bipartiteness_hand_cases():
     assert is_connected(Graph(1, [])) and is_bipartite(Graph(1, []))
 
 
+def test_connectivity_and_bipartiteness_known_by_construction():
+    n = 20000
+    perm = np.random.default_rng(7).permutation(n)
+    path = Graph(n, np.column_stack([perm[:-1], perm[1:]]))
+    assert is_connected(path) and is_bipartite(path)
+    halves = Graph(n, np.delete(path.edges, n // 2, axis=0))
+    assert not is_connected(halves)
+    # closing the path into a cycle of odd length n + 1
+    perm = np.append(perm, n)
+    long_odd = Graph(n + 1, np.column_stack([perm, np.roll(perm, -1)]))
+    assert is_connected(long_odd) and not is_bipartite(long_odd)
+
+    def cycle(k, first=0):
+        return [(first + i, first + (i + 1) % k) for i in range(k)]
+
+    assert is_connected(Graph(9, cycle(9))) and not is_bipartite(Graph(9, cycle(9)))
+    assert is_connected(Graph(10, cycle(10))) and is_bipartite(Graph(10, cycle(10)))
+    # two components: two even cycles, then an odd and an even one
+    two_even = Graph(14, cycle(6) + cycle(8, first=6))
+    assert not is_connected(two_even) and is_bipartite(two_even)
+    odd_even = Graph(11, cycle(4) + cycle(7, first=4))
+    assert not is_connected(odd_even) and not is_bipartite(odd_even)
+    # isolated nodes 0 and 5 around a path, then around a triangle
+    assert not is_connected(Graph(6, [(1, 2), (2, 3), (3, 4)]))
+    assert is_bipartite(Graph(6, [(1, 2), (2, 3), (3, 4)]))
+    assert not is_bipartite(Graph(6, [(1, 2), (2, 3), (1, 3)]))
+    assert not is_connected(Graph(3, [])) and is_bipartite(Graph(3, []))
+
+
 @given(graphs())
 def test_adjacency_symmetric_and_degree_sum(g):
     for i in range(g.node_count):

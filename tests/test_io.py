@@ -8,6 +8,7 @@ from rwtv import Graph, Partition, RngSeed, SamplingSet
 from rwtv.fileio import (
     extract_subgraph,
     parse_edge_list,
+    read_observations,
     read_partition,
     read_sampling,
     read_signal,
@@ -156,6 +157,36 @@ def test_read_signal_rows_partial():
     ids, values = read_signal_rows(io.StringIO("node_id,value\n7,1.5\n3,2.5\n"))
     assert ids.tolist() == [7, 3]
     assert values.tolist() == [1.5, 2.5]
+
+
+def test_read_observations_full_signal_or_sampled_nodes_in_any_order():
+    m = SamplingSet(nodes=np.array([1, 3, 4]), budget=3)
+    full = "node_id,value\n3,0.3\n0,0.0\n4,0.4\n2,0.2\n1,0.1\n"
+    observed, truth = read_observations(io.StringIO(full), m, 5)
+    assert observed.tolist() == [0.1, 0.3, 0.4]
+    assert truth.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4]
+    shuffled = "node_id,value\n4,0.4\n1,0.1\n3,0.3\n"
+    observed, truth = read_observations(io.StringIO(shuffled), m, 5)
+    assert observed.tolist() == [0.1, 0.3, 0.4]
+    assert truth is None
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,0.1\n3,0.3\n1,0.2\n", "duplicate"),
+        ("1,0.1\n3,0.3\n5,0.5\n", "unknown"),
+        ("1,0.1\n-1,0.3\n4,0.4\n", "unknown"),
+        ("1,0.1\n3,inf\n4,0.4\n", "non-finite"),
+        ("1,0.1\n3,0.3\n", "exactly the sampled nodes"),
+        ("1,0.1\n2,0.2\n4,0.4\n", "exactly the sampled nodes"),
+        ("", "exactly the sampled nodes"),
+    ],
+)
+def test_read_observations_rejects(rows, message):
+    m = SamplingSet(nodes=np.array([1, 3, 4]), budget=3)
+    with pytest.raises(ValueError, match=message):
+        read_observations(io.StringIO("node_id,value\n" + rows), m, 5)
 
 
 def test_partition_round_trip():
