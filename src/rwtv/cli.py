@@ -16,7 +16,6 @@ import tempfile
 from pathlib import Path
 
 from .experiments import (
-    BENCHMARK_SLP,
     TABLE1_BUDGETS,
     TABLE2_BUDGET,
     TABLE2_LENGTHS,
@@ -41,7 +40,6 @@ from .fileio import (
 from .graph import is_connected
 from .rng import RngSeed
 from .sampling import (
-    SamplingBudgetError,
     WalkConfig,
     check_nullspace_condition,
     random_walk_sampling,
@@ -157,7 +155,7 @@ def _cmd_recover(args):
 def _cmd_experiment(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = benchmark_trial_spec(runs=args.runs, seed=args.seed, slp=BENCHMARK_SLP)
+    base = benchmark_trial_spec(runs=args.runs, seed=args.seed)
     if args.which == "table1":
         param, values = "budget", TABLE1_BUDGETS
         walks = [WalkConfig(base.walk.length, b) for b in values]
@@ -204,12 +202,14 @@ def _cmd_extract_subgraph(args):
     sub, kept = extract_subgraph(g, args.walk_length, RngSeed(args.seed))
     _atomic_write(args.out, lambda fh: write_edge_list(sub, fh))
     if args.out_map:
-        dense_to_ext = {dense: ext for ext, dense in id_map.items()}
+        # id_map is built in ascending external order, so its keys list the
+        # external id of each dense id
+        dense_to_ext = list(id_map)
 
         def write_map(fh):
             fh.write("new_id,source_id\n")
-            for new, old in enumerate(kept):
-                fh.write(f"{new},{dense_to_ext[int(old)]}\n")
+            for new, old in enumerate(kept.tolist()):
+                fh.write(f"{new},{dense_to_ext[old]}\n")
 
         _atomic_write(args.out_map, write_map)
     print(f"extracted subgraph: {sub.node_count} nodes, {sub.edge_count} edges")
@@ -314,9 +314,6 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SamplingBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

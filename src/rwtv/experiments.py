@@ -111,13 +111,12 @@ class TrialSummary:
     failures: int = 0
 
 
-def benchmark_trial_spec(runs=1000, seed=0, budget=CLUSTER_STATS_BUDGET,
-                         walk_length=BENCHMARK_WALK_LENGTH, slp=BENCHMARK_SLP):
+def benchmark_trial_spec(runs=1000, seed=0):
     """TrialSpec for the reference four-cluster benchmark setup."""
     return TrialSpec(
         appm=AppmSpec(BENCHMARK_CLUSTER_SIZES, BENCHMARK_P_INTRA, BENCHMARK_Q_INTER),
-        walk=WalkConfig(length=walk_length, budget=budget),
-        slp=slp,
+        walk=WalkConfig(length=BENCHMARK_WALK_LENGTH, budget=CLUSTER_STATS_BUDGET),
+        slp=BENCHMARK_SLP,
         runs=runs,
         master_seed=seed if isinstance(seed, RngSeed) else RngSeed(seed),
     )

@@ -107,16 +107,13 @@ def _raise_first_bad_line(lines, cause):
     raise ValueError(f"malformed edge list: {cause}") from cause
 
 
-def write_edge_list(g, fh, comment=None):
+def write_edge_list(g, fh):
     """Write one ``tail head`` line per edge, in stored (sorted) order.
 
     Isolated nodes are emitted as self-loop lines (``i i``), which
     :func:`parse_edge_list` turns back into isolated nodes, so graphs
     round-trip exactly.
     """
-    if comment:
-        for line in comment.splitlines():
-            fh.write(f"# {line}\n")
     isolated = np.flatnonzero(g.degrees == 0).tolist()
     fh.write(
         "".join([f"{t} {h}\n" for t, h in g.edges.tolist()])
@@ -124,26 +121,70 @@ def write_edge_list(g, fh, comment=None):
     )
 
 
-def _read_csv_rows(fh, expected_header):
+def _read_node_table(fh, header, types):
+    """Columns of a headered CSV as a tuple of arrays, parsed by ``types``
+    (``int`` or ``float`` per column) into int64 and float64.
+
+    Every row must hold exactly the header's fields, and integers must fit
+    in an int64.
+    """
     reader = csv.reader(fh)
     try:
-        header = next(reader)
+        first = next(reader)
     except StopIteration:
         raise ValueError("empty file: missing header") from None
-    if [h.strip() for h in header] != expected_header:
+    if [h.strip() for h in first] != header:
         raise ValueError(
-            f"expected header {','.join(expected_header)!r}, "
-            f"got {','.join(header)!r}"
+            f"expected header {','.join(header)!r}, got {','.join(first)!r}"
         )
-    return [row for row in reader if row]
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"line {reader.line_num}: expected {len(header)} fields, "
+                f"got {len(row)}"
+            )
+        rows.append(row)
+    columns = list(zip(*rows)) or [()] * len(header)
+    try:
+        return tuple(
+            np.array([t(v) for v in c], dtype=np.int64 if t is int else np.float64)
+            for t, c in zip(types, columns)
+        )
+    except OverflowError:
+        raise ValueError("integer outside the int64 range") from None
+
+
+def _check_node_ids(ids, node_count, kind, every_node):
+    """Reject node ids of a ``kind`` file that repeat or name no node and,
+    when ``every_node`` is set, any that leave a node out."""
+    if every_node:
+        if ids.size != node_count or not np.array_equal(
+            np.sort(ids), np.arange(node_count)
+        ):
+            raise ValueError(
+                f"{kind} file must list every node 0..{node_count - 1} exactly once"
+            )
+    elif np.unique(ids).size != ids.size:
+        raise ValueError(f"{kind} file contains duplicate node ids")
+    elif ids.size and (ids.min() < 0 or ids.max() >= node_count):
+        raise ValueError(f"{kind} file contains unknown node ids")
 
 
 def read_signal_rows(fh):
     """Raw ``(node_id, value)`` records of a signal CSV, unvalidated
     against any graph."""
-    rows = _read_csv_rows(fh, ["node_id", "value"])
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    values = np.array([float(r[1]) for r in rows])
+    return _read_node_table(fh, ["node_id", "value"], (int, float))
+
+
+def _read_checked_signal(fh, node_count, every_node):
+    """Signal rows with node ids checked and finite values."""
+    ids, values = read_signal_rows(fh)
+    _check_node_ids(ids, node_count, "signal", every_node)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("signal file contains non-finite values")
     return ids, values
 
 
@@ -155,13 +196,7 @@ def read_observations(fh, m, node_count):
     ``m.nodes[j]``, and ``truth`` is the full signal, or ``None`` when the
     file holds only the observations.
     """
-    ids, values = read_signal_rows(fh)
-    if np.unique(ids).size != ids.size:
-        raise ValueError("signal file contains duplicate node ids")
-    if ids.size and (ids.min() < 0 or ids.max() >= node_count):
-        raise ValueError("signal file contains unknown node ids")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("signal file contains non-finite values")
+    ids, values = _read_checked_signal(fh, node_count, every_node=False)
     if ids.size == node_count:
         truth = np.empty(node_count)
         truth[ids] = values
@@ -178,15 +213,7 @@ def read_observations(fh, m, node_count):
 
 def read_signal(fh, node_count):
     """Full node signal: every node exactly once, finite values."""
-    ids, values = read_signal_rows(fh)
-    if ids.size != node_count or not np.array_equal(
-        np.sort(ids), np.arange(node_count)
-    ):
-        raise ValueError(
-            f"signal file must list every node 0..{node_count - 1} exactly once"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("signal file contains non-finite values")
+    ids, values = _read_checked_signal(fh, node_count, every_node=True)
     x = np.empty(node_count)
     x[ids] = values
     return x
@@ -200,20 +227,11 @@ def write_signal(values, fh):
 
 
 def read_partition(fh, node_count):
-    rows = _read_csv_rows(fh, ["node_id", "cluster_id"])
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    raw = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    if ids.size != node_count or not np.array_equal(
-        np.sort(ids), np.arange(node_count)
-    ):
-        raise ValueError(
-            f"partition file must list every node 0..{node_count - 1} exactly once"
-        )
+    ids, raw = _read_node_table(fh, ["node_id", "cluster_id"], (int, int))
+    _check_node_ids(ids, node_count, "partition", every_node=True)
     # external cluster ids may be arbitrary ints; densify in sorted order
-    uniq = np.unique(raw)
-    dense = {int(c): i for i, c in enumerate(uniq)}
     labels = np.empty(node_count, dtype=np.int64)
-    labels[ids] = [dense[int(c)] for c in raw]
+    labels[ids] = np.unique(raw, return_inverse=True)[1]
     return Partition(labels)
 
 
@@ -225,14 +243,10 @@ def write_partition(part, fh):
 
 
 def read_sampling(fh, node_count):
-    rows = _read_csv_rows(fh, ["node_id"])
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
+    (ids,) = _read_node_table(fh, ["node_id"], (int,))
     if ids.size == 0:
         raise ValueError("sampling file lists no nodes")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("sampling file contains duplicate node ids")
-    if ids.min() < 0 or ids.max() >= node_count:
-        raise ValueError("sampling file contains unknown node ids")
+    _check_node_ids(ids, node_count, "sampling", every_node=False)
     return SamplingSet(nodes=ids, budget=int(ids.size))
 
 
@@ -263,5 +277,4 @@ def extract_subgraph(g, walk_length, rng):
     new_id = np.full(g.node_count, -1, dtype=np.int64)
     new_id[kept] = np.arange(kept.size)
     mask = keep[g.tails] & keep[g.heads]
-    edges = np.column_stack([new_id[g.tails[mask]], new_id[g.heads[mask]]])
-    return Graph(kept.size, edges), kept
+    return Graph(kept.size, new_id[g.edges[mask]]), kept

@@ -61,29 +61,32 @@ class Graph:
         # the edges by (tail, head), and n * n < 2**63 keeps them exact
         lo = np.minimum(e[:, 0], e[:, 1])
         hi = np.maximum(e[:, 0], e[:, 1])
-        tails, heads = np.divmod(_unique_sorted(lo * node_count + hi), node_count)
+        keys = _unique_sorted(lo * node_count + hi)
+        # each edge's endpoints are stored once: tails and heads are the
+        # contiguous rows of one read-only (2, m) array, edges its m x 2 view
+        ends = np.stack(np.divmod(keys, node_count))
+        ends.setflags(write=False)
+        tails, heads = ends
         # both directions of every edge, sorted by (source, neighbor)
-        both = np.sort(
-            np.concatenate([tails * node_count + heads, heads * node_count + tails])
-        )
+        both = np.sort(np.concatenate([keys, heads * node_count + tails]))
         src, indices = np.divmod(both, node_count)
         degrees = np.bincount(src, minlength=node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
 
         self.node_count = node_count
-        self.edges = np.column_stack([tails, heads])
+        self.edges = ends.T
         self.tails = tails
         self.heads = heads
         self.degrees = degrees
         self.indptr = indptr
         self.indices = indices
-        for arr in (self.edges, tails, heads, degrees, indptr, indices):
+        for arr in (degrees, indptr, indices):
             arr.setflags(write=False)
 
     @property
     def edge_count(self):
-        return self.edges.shape[0]
+        return self.tails.size
 
     @property
     def max_degree(self):
@@ -195,26 +198,15 @@ def _check_node(g, i):
     return i
 
 
-def _check_node_signal(g, x):
+def _check_signal(x, size, what):
+    """``x`` as a float vector of length ``size`` with finite entries;
+    ``what`` names it ("signal" or "edge signal") in errors."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.node_count,):
-        raise ValueError(
-            f"signal has shape {x.shape}, expected ({g.node_count},)"
-        )
+    if x.shape != (size,):
+        raise ValueError(f"{what} has shape {x.shape}, expected ({size},)")
     if not np.all(np.isfinite(x)):
-        raise ValueError("signal entries must be finite")
+        raise ValueError(f"{what} entries must be finite")
     return x
-
-
-def _check_edge_signal(g, y):
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.edge_count,):
-        raise ValueError(
-            f"edge signal has shape {y.shape}, expected ({g.edge_count},)"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("edge signal entries must be finite")
-    return y
 
 
 def _check_partition(g, part):
@@ -231,7 +223,7 @@ def degree(g, i):
 
 def incidence_apply(g, x):
     """Signed edge differences ``x[head] - x[tail]`` for every edge."""
-    x = _check_node_signal(g, x)
+    x = _check_signal(x, g.node_count, "signal")
     return x[g.heads] - x[g.tails]
 
 
@@ -240,7 +232,7 @@ def incidence_transpose_apply(g, y):
 
     ``out[i] = sum(y[e] for e with head e = i) - sum(y[e] for e with tail e = i)``.
     """
-    y = _check_edge_signal(g, y)
+    y = _check_signal(y, g.edge_count, "edge signal")
     n = g.node_count
     out = np.bincount(g.heads, weights=y, minlength=n)
     out -= np.bincount(g.tails, weights=y, minlength=n)
@@ -248,12 +240,9 @@ def incidence_transpose_apply(g, y):
 
 
 def total_variation(g, x):
-    """Sum of absolute signal differences across edges.
-
-    Equals the entrywise 1-norm of :func:`incidence_apply` output.
-    """
-    x = _check_node_signal(g, x)
-    return float(np.abs(x[g.heads] - x[g.tails]).sum())
+    """Sum of absolute signal differences across edges: the entrywise
+    1-norm of :func:`incidence_apply` output."""
+    return float(np.abs(incidence_apply(g, x)).sum())
 
 
 def boundary_edges(g, part):
@@ -329,15 +318,16 @@ def is_bipartite(g):
     return bool(np.all(label[:n] != label[n:]))
 
 
-def incidence_norm_sq(g, iterations=200, seed=0):
+def incidence_norm_sq(g, iterations=200):
     """Power-iteration estimate of the squared operator 2-norm of the
     incidence map (largest Laplacian eigenvalue).
 
-    Deterministic for a given ``seed``; the estimate converges from below.
+    Deterministic (the start vector is drawn from seed 0); the estimate
+    converges from below.
     """
     if g.edge_count == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(g.node_count)
     v /= np.linalg.norm(v)
     lam = 0.0

@@ -124,7 +124,6 @@ def slp_recover(g, m, samples, cfg=None):
     x = np.zeros(n)
     z = np.zeros(n)
     avg = np.zeros(n)
-    avg_prev = np.empty(n)
     trace = []  # grows with the iterations run, not with max_iterations
 
     k = 0
@@ -137,10 +136,9 @@ def slp_recover(g, m, samples, cfg=None):
         z = 2.0 * x_next - x
         x = x_next
         k += 1
-        np.copyto(avg_prev, avg)
-        avg += (x - avg) / k
+        avg, prev = avg + (x - avg) / k, avg
         trace.append(np.abs(avg[heads] - avg[tails]).sum())
-        change = np.linalg.norm(avg - avg_prev)
+        change = np.linalg.norm(avg - prev)
         if change < cfg.rel_change_tol * max(np.linalg.norm(avg), 1e-12):
             break
 

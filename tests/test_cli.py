@@ -196,6 +196,58 @@ def test_recover_with_partial_non_matching_signal_exits_1(tmp_path):
     assert not (tmp_path / "xhat.csv").exists()
 
 
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "rwtv", *map(str, args)], capture_output=True, text=True
+    )
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def write_path_instance(tmp_path):
+    gp, sp = tmp_path / "g.txt", tmp_path / "m.csv"
+    gp.write_text("0 1\n1 2\n2 3\n")
+    sp.write_text("node_id\n0\n2\n")
+    return gp, sp
+
+
+@pytest.mark.parametrize(
+    "signal",
+    ["node_id,value\n0\n2,1.0\n", "node_id,value\n0,1.0\n2,1.0,zzz\n"],
+)
+def test_recover_malformed_signal_row_exits_1_with_error_line(tmp_path, signal):
+    gp, sp = write_path_instance(tmp_path)
+    xp = tmp_path / "x.csv"
+    xp.write_text(signal)
+    out = tmp_path / "xhat.csv"
+    proc = run_cli(
+        "recover", "--graph", gp, "--samples", sp, "--signal", xp, "--out", out
+    )
+    assert_one_error_line(proc)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "partition, samples",
+    [
+        ("0,0\n1,0\n2,1\n3,99999999999999999999\n", "0\n2\n"),
+        ("0,0\n1,0\n2,1\n3,1\n", "0\n99999999999999999999\n"),
+    ],
+)
+def test_check_int64_overflow_exits_1_with_error_line(tmp_path, partition, samples):
+    gp, sp = write_path_instance(tmp_path)
+    pp = tmp_path / "p.csv"
+    pp.write_text("node_id,cluster_id\n" + partition)
+    sp.write_text("node_id\n" + samples)
+    proc = run_cli("check", "--graph", gp, "--partition", pp, "--samples", sp)
+    assert_one_error_line(proc)
+
+
 def test_experiment_table1_is_deterministic(tmp_path, capsys):
     for d in ("a", "b"):
         code = main(

@@ -71,6 +71,17 @@ def test_graph_immutable():
 
 
 @given(graphs())
+def test_endpoint_arrays_read_only_contiguous_and_edges_their_columns(g):
+    for arr in (g.tails, g.heads):
+        assert arr.flags.c_contiguous
+        assert arr.shape == (g.edge_count,)
+        with pytest.raises(ValueError):
+            arr[:1] = 0
+    assert np.array_equal(g.edges, np.column_stack([g.tails, g.heads]))
+    assert not g.edges.flags.writeable
+
+
+@given(graphs())
 def test_csr_read_only_and_neighbors_sorted(g):
     n = g.node_count
     assert g.indptr.shape == (n + 1,)

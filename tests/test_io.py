@@ -181,6 +181,9 @@ def test_read_observations_full_signal_or_sampled_nodes_in_any_order():
         ("1,0.1\n3,0.3\n", "exactly the sampled nodes"),
         ("1,0.1\n2,0.2\n4,0.4\n", "exactly the sampled nodes"),
         ("", "exactly the sampled nodes"),
+        ("1\n3,0.3\n4,0.4\n", "line 2: expected 2 fields, got 1"),
+        ("1,0.1\n3,0.3,zzz\n4,0.4\n", "line 3: expected 2 fields, got 3"),
+        ("1,0.1\n99999999999999999999,0.3\n4,0.4\n", "int64"),
     ],
 )
 def test_read_observations_rejects(rows, message):
@@ -221,6 +224,81 @@ def test_read_sampling_validation():
         read_sampling(io.StringIO("node_id\n7\n"), 5)
     with pytest.raises(ValueError, match="no nodes"):
         read_sampling(io.StringIO("node_id\n"), 5)
+
+
+def test_writers_golden_bytes():
+    # csv-module files end lines with CRLF and write floats in shortest
+    # round-trip form; edge lists end lines with LF and list isolated
+    # nodes as "i i" lines
+    cases = [
+        (
+            write_signal,
+            np.array([0.1, 1 / 3, -0.0, 2.0, 1e-300]),
+            "node_id,value\r\n0,0.1\r\n1,0.3333333333333333\r\n2,-0.0\r\n"
+            "3,2.0\r\n4,1e-300\r\n",
+        ),
+        (
+            write_partition,
+            Partition([0, 2, 1, 2]),
+            "node_id,cluster_id\r\n0,0\r\n1,2\r\n2,1\r\n3,2\r\n",
+        ),
+        (
+            write_sampling,
+            SamplingSet(nodes=np.array([9, 1, 4]), budget=5),
+            "node_id\r\n1\r\n4\r\n9\r\n",
+        ),
+        (
+            write_edge_list,
+            Graph(6, [(3, 1), (0, 1), (1, 3), (4, 0)]),
+            "0 1\n0 4\n1 3\n2 2\n5 5\n",
+        ),
+    ]
+    for write, obj, expected in cases:
+        buf = io.StringIO(newline="")
+        write(obj, buf)
+        assert buf.getvalue() == expected
+
+
+NODE_TABLE_READERS = {
+    "signal_rows": read_signal_rows,
+    "signal": lambda fh: read_signal(fh, 5),
+    "partition": lambda fh: read_partition(fh, 4),
+    "sampling": lambda fh: read_sampling(fh, 5),
+}
+SIGNAL = "node_id,value\n"
+PARTITION = "node_id,cluster_id\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("signal_rows", SIGNAL + "0\n2,1.0\n", "line 2: expected 2 fields, got 1"),
+        ("signal_rows", SIGNAL + "0,1.0\n2,1.0,zzz\n", "line 3: expected 2 fields, got 3"),
+        ("signal", SIGNAL + "0\n2,1.0\n", "line 2: expected 2 fields, got 1"),
+        ("signal", SIGNAL + "2,1.0,zzz\n", "line 2: expected 2 fields, got 3"),
+        ("signal", SIGNAL + "9223372036854775808,1.0\n", "int64"),
+        ("partition", PARTITION + "0,1\n1,2\n2,3\n3,99999999999999999999\n", "int64"),
+        ("partition", PARTITION + "0,1\n1,2\n2,3\n3,-9223372036854775809\n", "int64"),
+        ("partition", PARTITION + "0,1\n1\n2,3\n3,3\n", "line 3: expected 2 fields, got 1"),
+        ("partition", PARTITION + "0,1\n1,2,\n", "line 3: expected 2 fields, got 3"),
+        ("sampling", "node_id\n0\n99999999999999999999\n", "int64"),
+        ("sampling", "node_id\n0\n2,1\n", "line 3: expected 1 fields, got 2"),
+    ],
+)
+def test_node_table_readers_reject_malformed_rows(reader, text, message):
+    with pytest.raises(ValueError, match=message):
+        NODE_TABLE_READERS[reader](io.StringIO(text))
+
+
+def test_node_table_readers_accept_blank_lines_crlf_and_int64_extremes():
+    text = "node_id,value\r\n1,0.5\r\n\r\n0,-1.5\r\n"
+    assert read_signal(io.StringIO(text, newline=""), 2).tolist() == [-1.5, 0.5]
+    part = read_partition(io.StringIO(PARTITION + "1,-9223372036854775808\n0,7\n"), 2)
+    assert part.labels.tolist() == [1, 0]
+    ids, _ = read_signal_rows(
+        io.StringIO(SIGNAL + "9223372036854775807,1\n-9223372036854775808,2\n")
+    )
+    assert ids.tolist() == [2**63 - 1, -(2**63)]
 
 
 # ----------------------------------------------------------- subgraph extract
