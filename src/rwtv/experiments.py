@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fileio import _read_table
 from .graph import cut_size
 from .rng import RngSeed
 from .sampling import SamplingBudgetError, WalkConfig, random_walk_sampling
@@ -146,12 +147,7 @@ def _trial_worker(args):
         error, counts, cuts = run_trial(spec, index)
     except SamplingBudgetError:
         return None
-    return TrialRow(
-        index=index,
-        nmse=error,
-        samples_per_cluster=tuple(int(c) for c in counts),
-        cut_per_cluster=tuple(int(c) for c in cuts),
-    )
+    return TrialRow(index, error, tuple(counts.tolist()), tuple(cuts.tolist()))
 
 
 def run_trials(spec, workers=1):
@@ -160,12 +156,16 @@ def run_trials(spec, workers=1):
     Trials whose sampling budget is unreachable are counted in
     ``failures`` and omitted from ``rows`` (their indices are skipped, so
     the gap stays visible in per-trial dumps). Rows come back ordered by
-    trial index regardless of worker scheduling.
+    trial index regardless of worker scheduling. The pool holds at most
+    ``spec.runs`` of the ``workers >= 1`` processes.
     """
+    workers = min(int(workers), spec.runs)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(spec, i) for i in range(spec.runs)]
-    if workers and int(workers) > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-            chunk = max(1, spec.runs // (int(workers) * 8))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, spec.runs // (workers * 8))
             results = list(pool.map(_trial_worker, jobs, chunksize=chunk))
     else:
         results = [_trial_worker(job) for job in jobs]
@@ -218,15 +218,18 @@ def run_sweep(base, walks, workers=1):
     return out
 
 
-def write_trials_csv(fh, rows, cluster_count):
-    """Per-trial dump; floats are written with shortest round-trip precision."""
-    writer = csv.writer(fh)
-    header = (
+def _trials_header(cluster_count):
+    return (
         ["trial_index", "nmse"]
         + [f"samples_c{c}" for c in range(cluster_count)]
         + [f"cut_c{c}" for c in range(cluster_count)]
     )
-    writer.writerow(header)
+
+
+def write_trials_csv(fh, rows, cluster_count):
+    """Per-trial dump; floats are written with shortest round-trip precision."""
+    writer = csv.writer(fh)
+    writer.writerow(_trials_header(cluster_count))
     for r in rows:
         writer.writerow(
             [r.index, float(r.nmse), *r.samples_per_cluster, *r.cut_per_cluster]
@@ -234,21 +237,23 @@ def write_trials_csv(fh, rows, cluster_count):
 
 
 def read_trials_csv(fh):
-    """Inverse of :func:`write_trials_csv`; round-trips values exactly."""
-    reader = csv.reader(fh)
-    header = next(reader)
-    k = sum(1 for name in header if name.startswith("samples_c"))
-    rows = []
-    for rec in reader:
-        rows.append(
-            TrialRow(
-                index=int(rec[0]),
-                nmse=float(rec[1]),
-                samples_per_cluster=tuple(int(v) for v in rec[2 : 2 + k]),
-                cut_per_cluster=tuple(int(v) for v in rec[2 + k : 2 + 2 * k]),
-            )
-        )
-    return rows
+    """Inverse of :func:`write_trials_csv`; round-trips values exactly.
+
+    The header must be the one written for as many clusters as it names
+    ``samples_c*`` columns, and rows are read like the other CSV tables.
+    """
+    first = fh.readline()
+    k = sum(h.strip().startswith("samples_c") for h in next(csv.reader([first])))
+    index, errors, *counts = _read_table(
+        [first, *fh] if first else [],
+        _trials_header(k),
+        (int, float) + (int,) * (2 * k),
+    )
+    counts = np.array(counts, dtype=np.int64).reshape(2 * k, index.size).T.tolist()
+    return [
+        TrialRow(i, e, tuple(c[:k]), tuple(c[k:]))
+        for i, e, c in zip(index.tolist(), errors.tolist(), counts)
+    ]
 
 
 def write_summary_csv(fh, param_name, param_values, summaries):

@@ -39,7 +39,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_NODE_ID = re.compile(r"[+-]?[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_edge_list(lines, drop_isolated=False):
@@ -92,7 +92,7 @@ def _raise_first_bad_line(lines, cause):
             raise ValueError(
                 f"line {lineno}: expected two node ids, got {raw.rstrip()!r}"
             )
-        if not all(_NODE_ID.fullmatch(tok) for tok in tokens):
+        if not all(_INTEGER.fullmatch(tok) for tok in tokens):
             raise ValueError(
                 f"line {lineno}: non-integer node id in {raw.rstrip()!r}"
             )
@@ -121,18 +121,18 @@ def write_edge_list(g, fh):
     )
 
 
-def _read_node_table(fh, header, types):
+def _read_table(fh, header, types):
     """Columns of a headered CSV as a tuple of arrays, parsed by ``types``
     (``int`` or ``float`` per column) into int64 and float64.
 
-    Every row must hold exactly the header's fields, and integers must fit
-    in an int64.
+    Every row must hold exactly the header's fields. An integer field is
+    written like an edge-list node id, ASCII digits with an optional sign
+    (surrounding blanks aside), and must fit in an int64.
     """
     reader = csv.reader(fh)
-    try:
-        first = next(reader)
-    except StopIteration:
-        raise ValueError("empty file: missing header") from None
+    first = next(reader, None)
+    if first is None:
+        raise ValueError("empty file: missing header")
     if [h.strip() for h in first] != header:
         raise ValueError(
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
@@ -150,11 +150,18 @@ def _read_node_table(fh, header, types):
     columns = list(zip(*rows)) or [()] * len(header)
     try:
         return tuple(
-            np.array([t(v) for v in c], dtype=np.int64 if t is int else np.float64)
+            np.array([_int_field(v) for v in c], dtype=np.int64)
+            if t is int else np.array([float(v) for v in c])
             for t, c in zip(types, columns)
         )
     except OverflowError:
         raise ValueError("integer outside the int64 range") from None
+
+
+def _int_field(text):
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"non-integer field {text!r}")
+    return int(text)
 
 
 def _check_node_ids(ids, node_count, kind, every_node):
@@ -176,7 +183,7 @@ def _check_node_ids(ids, node_count, kind, every_node):
 def read_signal_rows(fh):
     """Raw ``(node_id, value)`` records of a signal CSV, unvalidated
     against any graph."""
-    return _read_node_table(fh, ["node_id", "value"], (int, float))
+    return _read_table(fh, ["node_id", "value"], (int, float))
 
 
 def _read_checked_signal(fh, node_count, every_node):
@@ -227,7 +234,7 @@ def write_signal(values, fh):
 
 
 def read_partition(fh, node_count):
-    ids, raw = _read_node_table(fh, ["node_id", "cluster_id"], (int, int))
+    ids, raw = _read_table(fh, ["node_id", "cluster_id"], (int, int))
     _check_node_ids(ids, node_count, "partition", every_node=True)
     # external cluster ids may be arbitrary ints; densify in sorted order
     labels = np.empty(node_count, dtype=np.int64)
@@ -243,7 +250,7 @@ def write_partition(part, fh):
 
 
 def read_sampling(fh, node_count):
-    (ids,) = _read_node_table(fh, ["node_id"], (int,))
+    (ids,) = _read_table(fh, ["node_id"], (int,))
     if ids.size == 0:
         raise ValueError("sampling file lists no nodes")
     _check_node_ids(ids, node_count, "sampling", every_node=False)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _check_signal
+
 __all__ = ["SlpConfig", "SlpResult", "clip", "slp_recover", "nmse"]
 
 
@@ -47,16 +49,14 @@ class SlpConfig:
 
 @dataclass(frozen=True, eq=False)
 class SlpResult:
-    """Recovered signal with iteration count and per-iteration objective.
+    """Recovered signal and the number of iterations run.
 
-    ``objective_trace[k-1]`` is the total variation of the averaged iterate
-    after ``k`` iterations; the recovered signal equals the observed
-    samples on the sampling set exactly.
+    The recovered signal equals the observed samples on the sampling set
+    exactly.
     """
 
     recovered: np.ndarray
     iterations_run: int
-    objective_trace: np.ndarray
 
 
 def clip(y):
@@ -81,8 +81,7 @@ def slp_recover(g, m, samples, cfg=None):
     Returns
     -------
     SlpResult
-        The averaged primal iterate, the number of iterations run, and the
-        total-variation trace of the running average.
+        The averaged primal iterate and the number of iterations run.
 
     Notes
     -----
@@ -91,8 +90,7 @@ def slp_recover(g, m, samples, cfg=None):
     at most ``2 d_max``, the product of the step sizes stays below the
     stability threshold. The iteration is deterministic. When the
     recovery condition fails the minimizer may be non-unique; the solver
-    then returns whatever the iteration converges to, and the objective
-    trace lets callers detect stagnation.
+    then returns whatever the iteration converges to.
 
     The running average is maintained incrementally
     (``avg += (x - avg) / k``), which keeps the accumulator at signal
@@ -106,13 +104,7 @@ def slp_recover(g, m, samples, cfg=None):
     if len(m) == 0:
         raise ValueError("sampling set must be nonempty")
     sampled = m.mask(g.node_count)
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape != (len(m),):
-        raise ValueError(
-            f"expected {len(m)} sample values, got shape {samples.shape}"
-        )
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("sample values must be finite")
+    samples = _check_signal(samples, len(m), "sample values")
 
     n = g.node_count
     tails, heads = g.tails, g.heads
@@ -124,7 +116,6 @@ def slp_recover(g, m, samples, cfg=None):
     x = np.zeros(n)
     z = np.zeros(n)
     avg = np.zeros(n)
-    trace = []  # grows with the iterations run, not with max_iterations
 
     k = 0
     while k < cfg.max_iterations:
@@ -137,15 +128,12 @@ def slp_recover(g, m, samples, cfg=None):
         x = x_next
         k += 1
         avg, prev = avg + (x - avg) / k, avg
-        trace.append(np.abs(avg[heads] - avg[tails]).sum())
         change = np.linalg.norm(avg - prev)
         if change < cfg.rel_change_tol * max(np.linalg.norm(avg), 1e-12):
             break
 
     avg.setflags(write=False)
-    return SlpResult(
-        recovered=avg, iterations_run=k, objective_trace=np.array(trace)
-    )
+    return SlpResult(recovered=avg, iterations_run=k)
 
 
 def nmse(x_hat, x_true):

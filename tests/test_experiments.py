@@ -108,12 +108,61 @@ def test_trials_csv_round_trips_exactly():
     assert aggregate_rows(again, 2, failures) == aggregate_rows(rows, 2, failures)
 
 
+TRIALS_HEADER = "trial_index,nmse,samples_c0,cut_c0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (TRIALS_HEADER + "0\n", "line 2: expected 4 fields, got 1"),
+        ("whatever\n0,0.5,1,2,zzz\n", "expected header 'trial_index,nmse'"),
+        ("trial_index,nmse,cut_c0,samples_c0\n0,0.5,1,2\n", "expected header"),
+        (TRIALS_HEADER + "0,0.5,1,2\n1,0.5,1_0,2\n", "non-integer field '1_0'"),
+        (TRIALS_HEADER + "0,0.5,1,99999999999999999999\n", "int64"),
+        ("", "missing header"),
+    ],
+)
+def test_read_trials_csv_rejects_malformed_files(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_trials_csv(io.StringIO(text))
+
+
 def test_workers_do_not_change_results():
     spec = small_spec(runs=6)
     seq_rows, seq_fail = run_trials(spec, workers=1)
     par_rows, par_fail = run_trials(spec, workers=2)
     assert seq_rows == par_rows
     assert seq_fail == par_fail
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_trials_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_trials(small_spec(runs=2), workers=workers)
+
+
+def test_run_trials_pool_never_exceeds_runs(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(rwtv.experiments, "ProcessPoolExecutor", RecordingPool)
+    spec = small_spec(runs=3)
+    assert run_trials(spec, workers=64) == run_trials(spec, workers=1)
+    assert run_trials(replace(spec, runs=1), workers=64)[1] == 0
+    assert run_trials(spec, workers=2)[1] == 0
+    assert sizes == [3, 2]
 
 
 def test_failed_trials_recorded_and_excluded(monkeypatch):

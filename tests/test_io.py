@@ -283,6 +283,10 @@ PARTITION = "node_id,cluster_id\n"
         ("partition", PARTITION + "0,1\n1,2,\n", "line 3: expected 2 fields, got 3"),
         ("sampling", "node_id\n0\n99999999999999999999\n", "int64"),
         ("sampling", "node_id\n0\n2,1\n", "line 3: expected 1 fields, got 2"),
+        ("sampling", "node_id\n1_0\n", "non-integer field '1_0'"),
+        ("sampling", "node_id\n \uff13\n", "non-integer field"),
+        ("signal", SIGNAL + "0x1,1.0\n", "non-integer field '0x1'"),
+        ("partition", PARTITION + "0,1\n1,1_0\n2,3\n3,3\n", "non-integer field"),
     ],
 )
 def test_node_table_readers_reject_malformed_rows(reader, text, message):

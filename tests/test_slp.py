@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +12,20 @@ from rwtv import (
     RngSeed,
     SamplingSet,
     SlpConfig,
+    WalkConfig,
     check_nullspace_condition,
     clip,
     clustered_signal,
+    generate_appm,
     incidence_norm_sq,
     nmse,
+    random_clustered_signal,
+    random_walk_sampling,
     slp_recover,
     total_variation,
     uniform_sampling,
 )
+from rwtv.experiments import BENCHMARK_SLP, BENCHMARK_WALK_LENGTH, benchmark_trial_spec
 from lp_oracle import tv_min_lp
 from reference_slp import reference_slp
 from strategies import graphs
@@ -128,20 +136,54 @@ def test_output_feasibility_exact_at_any_iteration_count():
         assert np.array_equal(res.recovered[m.nodes], values)
 
 
-def test_objective_trace_tracks_running_average():
-    g, m, values = random_instance(3)
-    res = slp_recover(g, m, values, SlpConfig(max_iterations=40, rel_change_tol=0.0))
-    assert res.objective_trace.shape == (res.iterations_run,)
-    assert res.objective_trace[-1] == total_variation(g, res.recovered)
-
-
 def test_deterministic():
     g, m, values = random_instance(11)
     r1 = slp_recover(g, m, values, SlpConfig(max_iterations=500))
     r2 = slp_recover(g, m, values, SlpConfig(max_iterations=500))
     assert np.array_equal(r1.recovered, r2.recovered)
     assert r1.iterations_run == r2.iterations_run
-    assert np.array_equal(r1.objective_trace, r2.objective_trace)
+
+
+# (budget, trial index, iterations_run, SHA-256 of recovered.tobytes()) of
+# reference trials at seed 7, solved with BENCHMARK_SLP
+PINNED_SOLVES = [
+    (10, 0, 588, "e4a8b8161dd41966f56c2c8ddd3b27d5676d219eb5c3acdc6e840bb006a309fa"),
+    (10, 1, 404, "13a7e0ed77cea41353f45a3057cca3c6f6ab6012c91ee84324eb7484f1e56807"),
+    (10, 2, 329, "12c4c5c144406ef83335d1a9ca6cfb154a441f5dc940cf925b9880a044ca317d"),
+    (10, 3, 2439, "c28bfd83360402d86f66c683ba6afcd070ebd34557f9d5771e92c5b208b6c628"),
+    (10, 4, 2853, "a7c058dd0cae009f10b43fb204f488184a2e6855a703f942e76905f13b7d141a"),
+    (10, 5, 670, "bf0a90eb3ff8a586204fdfe6f23600bfcc37ca1a373edfc829d64e8952c6db3c"),
+    (10, 6, 533, "c7ef048529f214eab834aa582128d8934cd3f615a283c8adff130b3cb232a91f"),
+    (10, 7, 608, "8ff05982cea7fe39b635707eef98ad11b70818ea712bf3d6ec05cc13cbbcab9e"),
+    (10, 8, 311, "8ea0f1af0027d0d022d30f605b41f0536bd09789638c2963481e2634ff7b34d1"),
+    (10, 9, 406, "8d672b5946d5327f2bf0c3aa0504d601819b2dc3fb8fdf3ab169f4a32f160b9d"),
+    (50, 0, 845, "77c89364a2f7fabc3b6e292727257f7a49a12482944803848abfb271da9262f0"),
+    (50, 1, 732, "faff10d5ce423ebfe9bdca0ddd3052032376c8baee3050b1022b684e09a603af"),
+    (50, 2, 471, "aa74a93467cf7aab962f0c367a8da6792356a5f8b5fabd0aaf4038f649a9edf3"),
+    (50, 3, 1631, "36a2d546aa960a4c117adf70a639b4c518b48994ee14f96ea3185b4b95a47310"),
+    (50, 4, 1462, "f08d8c062fdb2510b92f17cba34a2b98e6d124f4f3695d5b4bc5f1166dc7ebf2"),
+    (50, 5, 889, "50d7e7466cb413a11f488dc62485d6a343b92ec62970b4b3b43212f05028b259"),
+    (50, 6, 875, "b2d54ba7649573d0019f84903044691da75b973bff5616100bb36146f99848f8"),
+    (50, 7, 1029, "bb6ea3d1749c52078f09503ff13fcc3a3e042ee82e455831983916f3570c6f34"),
+    (50, 8, 646, "b61c5a89f3586ed726c258edea55dffbe2db2946faa9cd01b115bc175165f808"),
+    (50, 9, 785, "f6a9288ca8ff58be8241b1e38395f63b602ade96bf28b90557e77e509aa94fcf"),
+]
+
+
+def test_seeded_reference_solves_are_pinned():
+    base = benchmark_trial_spec(seed=7)
+    for budget, index, iterations, digest in PINNED_SOLVES:
+        spec = replace(base, walk=WalkConfig(BENCHMARK_WALK_LENGTH, budget))
+        gen = spec.master_seed.substream(index).generator()
+        g, part = generate_appm(spec.appm, gen)
+        x = random_clustered_signal(part, gen)
+        m = random_walk_sampling(g, spec.walk, gen)
+        res = slp_recover(g, m, x[m.nodes], BENCHMARK_SLP)
+        assert res.iterations_run == iterations, (budget, index)
+        assert hashlib.sha256(res.recovered.tobytes()).hexdigest() == digest, (
+            budget,
+            index,
+        )
 
 
 def test_matches_lp_oracle_on_small_graphs():
