@@ -19,6 +19,7 @@ from .experiments import (
     TABLE1_BUDGETS,
     TABLE2_BUDGET,
     TABLE2_LENGTHS,
+    _check_workers,
     aggregate_rows,
     benchmark_trial_spec,
     run_sweep,
@@ -153,9 +154,8 @@ def _cmd_recover(args):
 
 
 def _cmd_experiment(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = benchmark_trial_spec(runs=args.runs, seed=args.seed)
+    workers = _check_workers(args.workers)
     if args.which == "table1":
         param, values = "budget", TABLE1_BUDGETS
         walks = [WalkConfig(base.walk.length, b) for b in values]
@@ -165,7 +165,9 @@ def _cmd_experiment(args):
     else:
         param, values, walks = None, [None], [base.walk]
     k = base.appm.cluster_count
-    results = run_sweep(base, walks, workers=args.workers)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_sweep(base, walks, workers=workers)
     summaries = [aggregate_rows(rows, k, failures) for _, rows, failures in results]
     for value, (_, rows, _) in zip(values, results):
         suffix = f"_{param}{value}" if param else ""

@@ -3,9 +3,10 @@
 Each trial draws a fresh planted-partition graph and clustered signal,
 builds a walk-based sampling set, recovers the signal, and records the
 normalized recovery error together with per-cluster sampling statistics.
-A sweep runs one batch of trials per walk configuration; its rows
+A sweep runs one set of trials per walk configuration; its rows
 aggregate into mean/STD summaries and dump to per-trial and summary CSV
-files.
+files. Trials are drawn one by one and recovered in chunks, all trials of
+a chunk in one batched solve, with the same results as one at a time.
 
 Trial RNG streams derive from the spec's master seed plus the trial
 index; sweep variants are offset by ``variant_index << 32``, so results
@@ -25,7 +26,7 @@ from .fileio import _read_table
 from .graph import cut_size
 from .rng import RngSeed
 from .sampling import SamplingBudgetError, WalkConfig, random_walk_sampling
-from .slp import SlpConfig, nmse, slp_recover
+from .slp import SlpConfig, _recover_batch, nmse
 from .synth import AppmSpec, generate_appm, random_clustered_signal
 
 __all__ = [
@@ -65,8 +66,15 @@ CLUSTER_STATS_BUDGET = 50
 
 # Stopping parameters used by the benchmark sweeps. Calibrated so that
 # mean NMSE over 1000-run sweeps stays within ~0.02 of fully converged
-# solves while keeping a trial around 20 ms.
+# solves. A table1 reference trial (draw, sample, recover, score) takes
+# ~10 ms in a batched sweep and ~29 ms recovered on its own (2-core x86
+# host, bench/run.py mc-table1 with times scaled to its reference speed).
 BENCHMARK_SLP = SlpConfig(max_iterations=5000, rel_change_tol=1e-5)
+
+# Trials recovered together in one batch, which spreads the solver's
+# per-iteration overhead over the chunk. Chunks of 20, 32 and 64 trials
+# gave the same throughput on table1 sweeps.
+_CHUNK_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -129,25 +137,74 @@ def run_trial(spec, trial_index):
     Returns ``(nmse, per-cluster sample counts, per-cluster cut sizes)``.
     Deterministic in ``(spec.master_seed, trial_index)``.
     """
+    return _recover_and_score(spec.slp, [_draw(spec, trial_index)])[0]
+
+
+def _draw(spec, trial_index):
+    """Graph, partition, true signal and sampling set of one trial."""
     gen = spec.master_seed.substream(trial_index).generator()
     g, part = generate_appm(spec.appm, gen)
     x_true = random_clustered_signal(part, gen)
     m = random_walk_sampling(g, spec.walk, gen)
-    result = slp_recover(g, m, x_true[m.nodes], spec.slp)
-    error = nmse(result.recovered, x_true)
-    k = part.cluster_count
-    counts = np.bincount(part.labels[m.nodes], minlength=k)
-    cuts = np.array([cut_size(g, part, c) for c in range(k)])
-    return error, counts, cuts
+    return g, part, x_true, m
 
 
-def _trial_worker(args):
-    spec, index = args
-    try:
-        error, counts, cuts = run_trial(spec, index)
-    except SamplingBudgetError:
-        return None
-    return TrialRow(index, error, tuple(counts.tolist()), tuple(cuts.tolist()))
+def _recover_and_score(cfg, draws):
+    """Recover every drawn trial in one batch and score each."""
+    results = _recover_batch([(g, m, x[m.nodes]) for g, _, x, m in draws], cfg)
+    scored = []
+    for (g, part, x_true, m), result in zip(draws, results):
+        k = part.cluster_count
+        counts = np.bincount(part.labels[m.nodes], minlength=k)
+        cuts = np.array([cut_size(g, part, c) for c in range(k)])
+        scored.append((nmse(result.recovered, x_true), counts, cuts))
+    return scored
+
+
+def _run_chunk(jobs):
+    """Rows of the ``(spec, trial index)`` jobs, ``None`` where the sampling
+    budget was unreachable. The specs of one sweep share one SlpConfig."""
+    draws = {}
+    for j, (spec, index) in enumerate(jobs):
+        try:
+            draws[j] = _draw(spec, index)
+        except SamplingBudgetError:
+            pass
+    rows = [None] * len(jobs)
+    scored = _recover_and_score(jobs[0][0].slp, list(draws.values()))
+    for j, (error, counts, cuts) in zip(draws, scored):
+        rows[j] = TrialRow(
+            jobs[j][1], error, tuple(counts.tolist()), tuple(cuts.tolist())
+        )
+    return rows
+
+
+def _check_workers(workers):
+    if int(workers) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers)
+
+
+def _run_specs(specs, workers):
+    """Every trial of every spec, solved in chunks of at most
+    ``_CHUNK_TRIALS``; returns one ``(rows, failures)`` per spec."""
+    workers = _check_workers(workers)
+    jobs = [(spec, i) for spec in specs for i in range(spec.runs)]
+    # with a pool, smaller chunks so that every worker gets some
+    size = max(1, min(_CHUNK_TRIALS, -(-len(jobs) // workers)))
+    chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(_run_chunk, chunks))
+    else:
+        results = [_run_chunk(chunk) for chunk in chunks]
+    rows = [row for chunk in results for row in chunk]
+    out, start = [], 0
+    for spec in specs:
+        done = [row for row in rows[start : start + spec.runs] if row is not None]
+        out.append((done, spec.runs - len(done)))
+        start += spec.runs
+    return out
 
 
 def run_trials(spec, workers=1):
@@ -159,18 +216,7 @@ def run_trials(spec, workers=1):
     trial index regardless of worker scheduling. The pool holds at most
     ``spec.runs`` of the ``workers >= 1`` processes.
     """
-    workers = min(int(workers), spec.runs)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(spec, i) for i in range(spec.runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, spec.runs // (workers * 8))
-            results = list(pool.map(_trial_worker, jobs, chunksize=chunk))
-    else:
-        results = [_trial_worker(job) for job in jobs]
-    rows = [r for r in results if r is not None]
-    return rows, spec.runs - len(rows)
+    return _run_specs([spec], workers)[0]
 
 
 def aggregate_rows(rows, cluster_count, failures=0):
@@ -202,20 +248,20 @@ def aggregate_rows(rows, cluster_count, failures=0):
 
 
 def run_sweep(base, walks, workers=1):
-    """Run the base spec once per walk configuration, in order.
+    """Run the base spec once per walk configuration.
 
     Returns one ``(spec, rows, failures)`` tuple per entry of ``walks``;
     :func:`aggregate_rows` summarizes each. Variant ``i`` draws from the
-    stream block ``base.master_seed.substream(i << 32)``.
+    stream block ``base.master_seed.substream(i << 32)``. Trials of all
+    variants are solved together in batches, with the same results as
+    one at a time.
     """
-    out = []
-    for i, walk in enumerate(walks):
-        spec = replace(
-            base, walk=walk, master_seed=base.master_seed.substream(i << 32)
-        )
-        rows, failures = run_trials(spec, workers=workers)
-        out.append((spec, rows, failures))
-    return out
+    specs = [
+        replace(base, walk=walk, master_seed=base.master_seed.substream(i << 32))
+        for i, walk in enumerate(walks)
+    ]
+    results = _run_specs(specs, workers)
+    return [(spec, rows, failures) for spec, (rows, failures) in zip(specs, results)]
 
 
 def _trials_header(cluster_count):

@@ -40,6 +40,13 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# decimal or exponent notation in ASCII digits, or inf/infinity/nan in any
+# case: everything repr(float) writes, and none of float()'s underscores
+# or non-ASCII digits
+_FLOAT = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|(?i:inf|infinity|nan))"
+)
 
 
 def parse_edge_list(lines, drop_isolated=False):
@@ -127,7 +134,8 @@ def _read_table(fh, header, types):
 
     Every row must hold exactly the header's fields. An integer field is
     written like an edge-list node id, ASCII digits with an optional sign
-    (surrounding blanks aside), and must fit in an int64.
+    (surrounding blanks aside), and must fit in an int64. A float field is
+    written in ASCII decimal or exponent notation, or as inf or nan.
     """
     reader = csv.reader(fh)
     first = next(reader, None)
@@ -151,7 +159,7 @@ def _read_table(fh, header, types):
     try:
         return tuple(
             np.array([_int_field(v) for v in c], dtype=np.int64)
-            if t is int else np.array([float(v) for v in c])
+            if t is int else np.array([_float_field(v) for v in c])
             for t, c in zip(types, columns)
         )
     except OverflowError:
@@ -162,6 +170,12 @@ def _int_field(text):
     if not _INTEGER.fullmatch(text.strip()):
         raise ValueError(f"non-integer field {text!r}")
     return int(text)
+
+
+def _float_field(text):
+    if not _FLOAT.fullmatch(text.strip()):
+        raise ValueError(f"non-float field {text!r}")
+    return float(text)
 
 
 def _check_node_ids(ids, node_count, kind, every_node):

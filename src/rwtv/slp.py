@@ -9,6 +9,16 @@ the unit box, the primal node variable takes a gradient step through the
 adjoint and is then overwritten with the observations on sampled nodes,
 and an over-relaxed copy feeds the next dual step. The reported solution
 is the running average of the primal iterates.
+
+One loop solves one problem or many. Many problems are solved as their
+disjoint union: node and edge ids are offset per problem, each problem's
+step size fills its own nodes and edges, and each problem stops on its own
+by the rule of :class:`SlpConfig`, with its norms summed over its own node
+range. Every update is elementwise or sums within one problem in the same
+order as a lone solve, so each problem's result is bit-identical to
+solving it alone. When a problem stops, its average is copied out and its
+rows are dropped, so the remaining problems run on smaller arrays.
+:func:`slp_recover` is a batch of one.
 """
 
 from __future__ import annotations
@@ -97,43 +107,89 @@ def slp_recover(g, m, samples, cfg=None):
     magnitude over long runs and keeps the sampled entries exactly equal
     to the observations.
     """
-    if cfg is None:
-        cfg = SlpConfig()
-    if g.edge_count == 0:
-        raise ValueError("recovery requires a graph with at least one edge")
-    if len(m) == 0:
-        raise ValueError("sampling set must be nonempty")
-    sampled = m.mask(g.node_count)
-    samples = _check_signal(samples, len(m), "sample values")
+    cfg = SlpConfig() if cfg is None else cfg
+    return _recover_batch([(g, m, samples)], cfg)[0]
 
-    n = g.node_count
-    tails, heads = g.tails, g.heads
-    obs = np.zeros(n)
-    obs[m.nodes] = samples
-    step = 0.5 / math.sqrt(g.max_degree)
 
-    y = np.zeros(g.edge_count)
+def _recover_batch(problems, cfg):
+    """:func:`slp_recover` on each ``(g, m, samples)`` of ``problems``, all
+    in one iteration over their disjoint union; returns one
+    :class:`SlpResult` per problem, equal bit for bit to a solve on its own.
+
+    Every problem is checked before any solving starts.
+    """
+    if not problems:
+        return []
+    values = []
+    for g, m, samples in problems:
+        if g.edge_count == 0:
+            raise ValueError("recovery requires a graph with at least one edge")
+        if len(m) == 0:
+            raise ValueError("sampling set must be nonempty")
+        m.mask(g.node_count)
+        values.append(_check_signal(samples, len(m), "sample values"))
+
+    # node and edge ids of problem b are offset by the nodes before it;
+    # each problem's step fills its own nodes and edges
+    counts = np.array([g.node_count for g, _, _ in problems])
+    offsets = np.cumsum(counts) - counts
+    tails = np.concatenate([g.tails + o for (g, _, _), o in zip(problems, offsets)])
+    heads = np.concatenate([g.heads + o for (g, _, _), o in zip(problems, offsets)])
+    nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(problems, offsets)])
+    samples = np.concatenate(values)
+    steps = np.array([0.5 / math.sqrt(g.max_degree) for g, _, _ in problems])
+    step_x = np.repeat(steps, counts)
+    step_y = np.repeat(steps, [g.edge_count for g, _, _ in problems])
+    ids = np.arange(len(problems))
+    results = [None] * len(problems)
+
+    n = int(counts.sum())
+    y = np.zeros(tails.size)
     x = np.zeros(n)
     z = np.zeros(n)
     avg = np.zeros(n)
 
     k = 0
-    while k < cfg.max_iterations:
-        y += step * (z[heads] - z[tails])
-        np.clip(y, -1.0, 1.0, out=y)
+    while ids.size:
+        y += step_y * (z[heads] - z[tails])
+        np.minimum(y, 1.0, out=y)
+        np.maximum(y, -1.0, out=y)
         grad = np.bincount(heads, weights=y, minlength=n)
         grad -= np.bincount(tails, weights=y, minlength=n)
-        x_next = np.where(sampled, obs, x - step * grad)
+        x_next = x - step_x * grad
+        x_next[nodes] = samples
         z = 2.0 * x_next - x
         x = x_next
         k += 1
         avg, prev = avg + (x - avg) / k, avg
-        change = np.linalg.norm(avg - prev)
-        if change < cfg.rel_change_tol * max(np.linalg.norm(avg), 1e-12):
-            break
+        # each problem's two norms, summed over its contiguous node range
+        diff = avg - prev
+        change = np.sqrt(np.add.reduceat(diff * diff, offsets))
+        size = np.sqrt(np.add.reduceat(avg * avg, offsets))
+        done = change < cfg.rel_change_tol * np.maximum(size, 1e-12)
+        if k == cfg.max_iterations:
+            done[:] = True
+        elif not np.count_nonzero(done):
+            continue
+        for b in np.flatnonzero(done):
+            recovered = avg[offsets[b] : offsets[b] + counts[b]].copy()
+            recovered.setflags(write=False)
+            results[ids[b]] = SlpResult(recovered=recovered, iterations_run=k)
+        # drop the stopped problems' rows and renumber the rest
+        alive = ~done
+        keep = np.repeat(alive, counts)
+        renumber = np.cumsum(keep) - 1
+        kept_edges = keep[tails]
+        tails, heads = renumber[tails[kept_edges]], renumber[heads[kept_edges]]
+        y, step_y = y[kept_edges], step_y[kept_edges]
+        kept_samples = keep[nodes]
+        nodes, samples = renumber[nodes[kept_samples]], samples[kept_samples]
+        x, z, avg, step_x = x[keep], z[keep], avg[keep], step_x[keep]
+        ids, counts = ids[alive], counts[alive]
+        offsets = np.cumsum(counts) - counts
+        n = x.size
 
-    avg.setflags(write=False)
-    return SlpResult(recovered=avg, iterations_run=k)
+    return results
 
 
 def nmse(x_hat, x_true):

@@ -260,6 +260,18 @@ def test_experiment_workers_below_one_exits_1_with_error_line(tmp_path, workers)
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize(
+    "option", [("--workers", "0"), ("--workers", "-2"), ("--runs", "0")]
+)
+def test_experiment_rejected_options_leave_no_out_dir(tmp_path, option):
+    out_dir = tmp_path / "new" / "x"
+    proc = run_cli(
+        "experiment", "clusterstats", "--runs", "2", *option, "--out-dir", out_dir
+    )
+    assert_one_error_line(proc)
+    assert not (tmp_path / "new").exists()
+
+
 def test_experiment_table1_is_deterministic(tmp_path, capsys):
     for d in ("a", "b"):
         code = main(

@@ -9,6 +9,7 @@ import pytest
 import rwtv.experiments
 from rwtv import AppmSpec, RngSeed, SamplingBudgetError, SlpConfig, WalkConfig
 from rwtv.experiments import (
+    TrialRow,
     TrialSpec,
     aggregate_rows,
     benchmark_trial_spec,
@@ -120,6 +121,7 @@ TRIALS_HEADER = "trial_index,nmse,samples_c0,cut_c0\n"
         (TRIALS_HEADER + "0,0.5,1,2\n1,0.5,1_0,2\n", "non-integer field '1_0'"),
         (TRIALS_HEADER + "0,0.5,1,99999999999999999999\n", "int64"),
         ("", "missing header"),
+        (TRIALS_HEADER + "0,0_5,1,2\n", "non-float field '0_5'"),
     ],
 )
 def test_read_trials_csv_rejects_malformed_files(text, message):
@@ -179,6 +181,61 @@ def test_failed_trials_recorded_and_excluded(monkeypatch):
     rows, failures = run_trials(small_spec(runs=4))
     assert failures == 1
     assert [r.index for r in rows] == [0, 2, 3]
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor and maps in this process, so that
+    monkeypatched functions apply inside the chunks."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+SWEEP_WALKS = [WalkConfig(4, 3), WalkConfig(6, 5), WalkConfig(8, 4)]
+
+
+def test_sweep_rows_do_not_depend_on_workers():
+    # 9 trials: one chunk serially, chunks of 5 and 4 with two workers
+    base = small_spec(runs=3)
+    assert run_sweep(base, SWEEP_WALKS, workers=1) == run_sweep(
+        base, SWEEP_WALKS, workers=2
+    )
+
+
+def test_sweep_chunks_with_unreachable_budget_match_single_trials(monkeypatch):
+    real = rwtv.experiments.random_walk_sampling
+
+    def flaky(g, cfg, gen):
+        if g.edge_count % 3 == 0:
+            raise SamplingBudgetError("sampling budget unreachable")
+        return real(g, cfg, gen)
+
+    monkeypatch.setattr(rwtv.experiments, "random_walk_sampling", flaky)
+    monkeypatch.setattr(rwtv.experiments, "ProcessPoolExecutor", InProcessPool)
+    base = small_spec(runs=5)
+    serial = run_sweep(base, SWEEP_WALKS, workers=1)
+    assert serial == run_sweep(base, SWEEP_WALKS, workers=2)
+    assert serial == run_sweep(base, SWEEP_WALKS, workers=4)
+    assert 0 < sum(f for *_, f in serial) < 15
+    for spec, rows, failures in serial:
+        single = []
+        for i in range(spec.runs):
+            try:
+                error, counts, cuts = run_trial(spec, i)
+            except SamplingBudgetError:
+                continue
+            single.append(TrialRow(i, error, tuple(counts), tuple(cuts)))
+        assert rows == single
+        assert failures == spec.runs - len(single)
 
 
 def test_run_table1_shapes_and_reproducibility():

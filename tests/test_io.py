@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwtv import Graph, Partition, RngSeed, SamplingSet
 from rwtv.fileio import (
@@ -287,6 +289,11 @@ PARTITION = "node_id,cluster_id\n"
         ("sampling", "node_id\n \uff13\n", "non-integer field"),
         ("signal", SIGNAL + "0x1,1.0\n", "non-integer field '0x1'"),
         ("partition", PARTITION + "0,1\n1,1_0\n2,3\n3,3\n", "non-integer field"),
+        ("signal", SIGNAL + "0,1_0\n1,3.5\n", "non-float field '1_0'"),
+        ("signal", SIGNAL + "0,1.0\n1,\uff13.5\n", "non-float field"),
+        ("signal_rows", SIGNAL + "0,0x1p3\n", "non-float field '0x1p3'"),
+        ("signal_rows", SIGNAL + "0,1e\n", "non-float field '1e'"),
+        ("signal_rows", SIGNAL + "0,\n", "non-float field ''"),
     ],
 )
 def test_node_table_readers_reject_malformed_rows(reader, text, message):
@@ -303,6 +310,20 @@ def test_node_table_readers_accept_blank_lines_crlf_and_int64_extremes():
         io.StringIO(SIGNAL + "9223372036854775807,1\n-9223372036854775808,2\n")
     )
     assert ids.tolist() == [2**63 - 1, -(2**63)]
+
+
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+def test_float_fields_read_back_every_repr_exactly(values):
+    text = SIGNAL + "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
+    _, back = read_signal_rows(io.StringIO(text))
+    assert back.tobytes() == np.array(values).tobytes()
+
+
+def test_float_fields_accept_plain_spellings():
+    text = SIGNAL + "0,1.\n1,.5\n2,+3\n3,1E5\n4, 2.5 \n5,-Infinity\n6,NaN\n"
+    _, back = read_signal_rows(io.StringIO(text))
+    assert back[:6].tolist() == [1.0, 0.5, 3.0, 1e5, 2.5, -np.inf]
+    assert np.isnan(back[6])
 
 
 # ----------------------------------------------------------- subgraph extract

@@ -26,6 +26,7 @@ from rwtv import (
     uniform_sampling,
 )
 from rwtv.experiments import BENCHMARK_SLP, BENCHMARK_WALK_LENGTH, benchmark_trial_spec
+from rwtv.slp import _recover_batch
 from lp_oracle import tv_min_lp
 from reference_slp import reference_slp
 from strategies import graphs
@@ -184,6 +185,45 @@ def test_seeded_reference_solves_are_pinned():
             budget,
             index,
         )
+
+
+def test_batch_matches_serial_solves_bit_for_bit():
+    # small random graphs plus reference trials: different max degrees (so
+    # different steps), different stop iterations, and trial 3 at budget
+    # 10 (2439 iterations under BENCHMARK_SLP) runs into the cap
+    problems = [random_instance(seed) for seed in range(8)]
+    base = benchmark_trial_spec(seed=7)
+    reference = [(1, 10, 3), (4, 50, 0), (6, 10, 1), (11, 50, 3)]
+    for pos, budget, index in reference:
+        spec = replace(base, walk=WalkConfig(BENCHMARK_WALK_LENGTH, budget))
+        gen = spec.master_seed.substream(index).generator()
+        g, part = generate_appm(spec.appm, gen)
+        x = random_clustered_signal(part, gen)
+        m = random_walk_sampling(g, spec.walk, gen)
+        problems.insert(pos, (g, m, x[m.nodes]))
+    cfg = SlpConfig(max_iterations=2000, rel_change_tol=1e-5)
+    serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
+    batch = _recover_batch(problems, cfg)
+    assert [r.iterations_run for r in batch] == [r.iterations_run for r in serial]
+    for a, b in zip(batch, serial):
+        assert a.recovered.tobytes() == b.recovered.tobytes()
+        assert not a.recovered.flags.writeable
+    iterations = {r.iterations_run for r in serial}
+    assert cfg.max_iterations in iterations and len(iterations) > 5
+    assert len({g.max_degree for g, _, _ in problems}) > 3
+
+
+def test_batch_rejects_any_bad_problem():
+    good = (Graph(2, [(0, 1)]), sampling_set([0]), [1.0])
+    bad = [
+        ((Graph(3, []), sampling_set([0]), [1.0]), "edge"),
+        ((Graph(2, [(0, 1)]), sampling_set([]), []), "nonempty"),
+        ((Graph(2, [(0, 1)]), sampling_set([5]), [1.0]), "unknown"),
+        ((Graph(2, [(0, 1)]), sampling_set([0]), [1.0, 2.0]), "sample values"),
+    ]
+    for problem, message in bad:
+        with pytest.raises(ValueError, match=message):
+            _recover_batch([good, good, problem], SlpConfig())
 
 
 def test_matches_lp_oracle_on_small_graphs():
