@@ -162,21 +162,19 @@ def _recover_and_score(cfg, draws):
 
 
 def _run_chunk(jobs):
-    """Rows of the ``(spec, trial index)`` jobs, ``None`` where the sampling
-    budget was unreachable. The specs of one sweep share one SlpConfig."""
-    draws = {}
-    for j, (spec, index) in enumerate(jobs):
+    """``(s, row)`` for each ``(s, spec, trial index)`` job whose sampling
+    budget was reachable. The specs of one sweep share one SlpConfig."""
+    drawn = []
+    for s, spec, index in jobs:
         try:
-            draws[j] = _draw(spec, index)
+            drawn.append((s, index, _draw(spec, index)))
         except SamplingBudgetError:
             pass
-    rows = [None] * len(jobs)
-    scored = _recover_and_score(jobs[0][0].slp, list(draws.values()))
-    for j, (error, counts, cuts) in zip(draws, scored):
-        rows[j] = TrialRow(
-            jobs[j][1], error, tuple(counts.tolist()), tuple(cuts.tolist())
-        )
-    return rows
+    scored = _recover_and_score(jobs[0][1].slp, [draw for _, _, draw in drawn])
+    return [
+        (s, TrialRow(index, error, tuple(counts.tolist()), tuple(cuts.tolist())))
+        for (s, index, _), (error, counts, cuts) in zip(drawn, scored)
+    ]
 
 
 def _check_workers(workers):
@@ -189,7 +187,7 @@ def _run_specs(specs, workers):
     """Every trial of every spec, solved in chunks of at most
     ``_CHUNK_TRIALS``; returns one ``(rows, failures)`` per spec."""
     workers = _check_workers(workers)
-    jobs = [(spec, i) for spec in specs for i in range(spec.runs)]
+    jobs = [(s, spec, i) for s, spec in enumerate(specs) for i in range(spec.runs)]
     # with a pool, smaller chunks so that every worker gets some
     size = max(1, min(_CHUNK_TRIALS, -(-len(jobs) // workers)))
     chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
@@ -198,13 +196,11 @@ def _run_specs(specs, workers):
             results = list(pool.map(_run_chunk, chunks))
     else:
         results = [_run_chunk(chunk) for chunk in chunks]
-    rows = [row for chunk in results for row in chunk]
-    out, start = [], 0
-    for spec in specs:
-        done = [row for row in rows[start : start + spec.runs] if row is not None]
-        out.append((done, spec.runs - len(done)))
-        start += spec.runs
-    return out
+    rows = [[] for _ in specs]
+    for chunk in results:
+        for s, row in chunk:
+            rows[s].append(row)
+    return [(done, spec.runs - len(done)) for spec, done in zip(specs, rows)]
 
 
 def run_trials(spec, workers=1):

@@ -181,9 +181,6 @@ class Partition:
             raise ValueError(f"node id {i} out of range")
         return int(self.labels[i])
 
-    def cluster_sizes(self):
-        return np.array([c.size for c in self.clusters])
-
     def __repr__(self):
         return (
             f"Partition(node_count={self.node_count}, "

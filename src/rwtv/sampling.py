@@ -10,7 +10,7 @@ minimization is guaranteed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,12 +98,12 @@ class NullspaceViolation:
 class NullspaceReport:
     """Outcome of the recovery-condition check over all boundary edges."""
 
-    satisfied: bool
-    violations: tuple[NullspaceViolation, ...] = field(default_factory=tuple)
+    violations: tuple[NullspaceViolation, ...] = ()
 
-    def __post_init__(self):
-        if self.satisfied != (len(self.violations) == 0):
-            raise ValueError("satisfied flag inconsistent with violations")
+    @property
+    def satisfied(self):
+        """True when no boundary edge violates the condition."""
+        return not self.violations
 
 
 def random_walk(g, seed_node, length, rng):
@@ -216,7 +216,5 @@ def check_nullspace_condition(g, part, m):
                         achieved=int(count[node]),
                     )
                 )
-    return NullspaceReport(
-        satisfied=not violations, violations=tuple(violations)
-    )
+    return NullspaceReport(tuple(violations))
 

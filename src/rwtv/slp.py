@@ -16,8 +16,9 @@ step size fills its own nodes and edges, and each problem stops on its own
 by the rule of :class:`SlpConfig`, with its norms summed over its own node
 range. Every update is elementwise or sums within one problem in the same
 order as a lone solve, so each problem's result is bit-identical to
-solving it alone. When a problem stops, its average is copied out and its
-rows are dropped, so the remaining problems run on smaller arrays.
+solving it alone. When a problem stops, its average is copied out and the
+union of the problems still running is laid out afresh from their own
+arrays, carrying over only their iterates, so they run on smaller arrays.
 :func:`slp_recover` is a batch of one.
 """
 
@@ -118,8 +119,6 @@ def _recover_batch(problems, cfg):
 
     Every problem is checked before any solving starts.
     """
-    if not problems:
-        return []
     values = []
     for g, m, samples in problems:
         if g.edge_count == 0:
@@ -128,66 +127,60 @@ def _recover_batch(problems, cfg):
             raise ValueError("sampling set must be nonempty")
         m.mask(g.node_count)
         values.append(_check_signal(samples, len(m), "sample values"))
-
-    # node and edge ids of problem b are offset by the nodes before it;
-    # each problem's step fills its own nodes and edges
-    counts = np.array([g.node_count for g, _, _ in problems])
-    offsets = np.cumsum(counts) - counts
-    tails = np.concatenate([g.tails + o for (g, _, _), o in zip(problems, offsets)])
-    heads = np.concatenate([g.heads + o for (g, _, _), o in zip(problems, offsets)])
-    nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(problems, offsets)])
-    samples = np.concatenate(values)
     steps = np.array([0.5 / math.sqrt(g.max_degree) for g, _, _ in problems])
-    step_x = np.repeat(steps, counts)
-    step_y = np.repeat(steps, [g.edge_count for g, _, _ in problems])
     ids = np.arange(len(problems))
     results = [None] * len(problems)
-
-    n = int(counts.sum())
-    y = np.zeros(tails.size)
-    x = np.zeros(n)
-    z = np.zeros(n)
-    avg = np.zeros(n)
+    x, z, avg = np.zeros((3, sum(g.node_count for g, _, _ in problems)))
+    y = np.zeros(sum(g.edge_count for g, _, _ in problems))
 
     k = 0
     while ids.size:
-        y += step_y * (z[heads] - z[tails])
-        np.minimum(y, 1.0, out=y)
-        np.maximum(y, -1.0, out=y)
-        grad = np.bincount(heads, weights=y, minlength=n)
-        grad -= np.bincount(tails, weights=y, minlength=n)
-        x_next = x - step_x * grad
-        x_next[nodes] = samples
-        z = 2.0 * x_next - x
-        x = x_next
-        k += 1
-        avg, prev = avg + (x - avg) / k, avg
-        # each problem's two norms, summed over its contiguous node range
-        diff = avg - prev
-        change = np.sqrt(np.add.reduceat(diff * diff, offsets))
-        size = np.sqrt(np.add.reduceat(avg * avg, offsets))
-        done = change < cfg.rel_change_tol * np.maximum(size, 1e-12)
-        if k == cfg.max_iterations:
-            done[:] = True
-        elif not np.count_nonzero(done):
-            continue
+        # lay out the live problems' disjoint union: the node and edge ids
+        # of each are offset by the nodes before it, and its step fills its
+        # own nodes and edges
+        live = [problems[b] for b in ids]
+        counts = np.array([g.node_count for g, _, _ in live])
+        edge_counts = np.array([g.edge_count for g, _, _ in live])
+        offsets = np.cumsum(counts) - counts
+        tails = np.concatenate([g.tails + o for (g, _, _), o in zip(live, offsets)])
+        heads = np.concatenate([g.heads + o for (g, _, _), o in zip(live, offsets)])
+        nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(live, offsets)])
+        samples = np.concatenate([values[b] for b in ids])
+        step_x = np.repeat(steps[ids], counts)
+        step_y = np.repeat(steps[ids], edge_counts)
+        n = x.size
+
+        while True:
+            y += step_y * (z[heads] - z[tails])
+            np.minimum(y, 1.0, out=y)
+            np.maximum(y, -1.0, out=y)
+            grad = np.bincount(heads, weights=y, minlength=n)
+            grad -= np.bincount(tails, weights=y, minlength=n)
+            x_next = x - step_x * grad
+            x_next[nodes] = samples
+            z = 2.0 * x_next - x
+            x = x_next
+            k += 1
+            avg, prev = avg + (x - avg) / k, avg
+            # each problem's two norms, summed over its contiguous node range
+            diff = avg - prev
+            change = np.sqrt(np.add.reduceat(diff * diff, offsets))
+            size = np.sqrt(np.add.reduceat(avg * avg, offsets))
+            done = change < cfg.rel_change_tol * np.maximum(size, 1e-12)
+            if k == cfg.max_iterations:
+                done[:] = True
+            if np.count_nonzero(done):
+                break
+
         for b in np.flatnonzero(done):
             recovered = avg[offsets[b] : offsets[b] + counts[b]].copy()
             recovered.setflags(write=False)
             results[ids[b]] = SlpResult(recovered=recovered, iterations_run=k)
-        # drop the stopped problems' rows and renumber the rest
-        alive = ~done
-        keep = np.repeat(alive, counts)
-        renumber = np.cumsum(keep) - 1
-        kept_edges = keep[tails]
-        tails, heads = renumber[tails[kept_edges]], renumber[heads[kept_edges]]
-        y, step_y = y[kept_edges], step_y[kept_edges]
-        kept_samples = keep[nodes]
-        nodes, samples = renumber[nodes[kept_samples]], samples[kept_samples]
-        x, z, avg, step_x = x[keep], z[keep], avg[keep], step_x[keep]
-        ids, counts = ids[alive], counts[alive]
-        offsets = np.cumsum(counts) - counts
-        n = x.size
+        # carry the survivors' iterates over to the next layout
+        keep = np.repeat(~done, counts)
+        x, z, avg = x[keep], z[keep], avg[keep]
+        y = y[np.repeat(~done, edge_counts)]
+        ids = ids[~done]
 
     return results
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rwtv import Graph, Partition, SamplingSet, SlpConfig, slp_recover
-from rwtv.cli import main
+from rwtv.cli import _atomic_write, main
 from rwtv.fileio import (
     parse_edge_list,
     read_sampling,
@@ -66,6 +66,30 @@ def test_generate_appm_require_connected_impossible_exits_2(tmp_path):
     )
     assert code == 2
     assert not gp.exists()
+
+
+@pytest.mark.parametrize("sizes", ["1,x", ","])
+def test_generate_appm_malformed_sizes_exits_1_with_error_line(tmp_path, sizes):
+    proc = run_cli(
+        "generate-appm", f"--sizes={sizes}", "--p", "0.5", "--q", "0.1",
+        "--seed", "1", "--out-graph", tmp_path / "g.txt",
+        "--out-partition", tmp_path / "p.csv", "--out-signal", tmp_path / "x.csv",
+    )
+    assert_one_error_line(proc)
+
+
+def test_atomic_write_failure_leaves_target_unchanged(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_write(target, failing)
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_sample_walk_and_uniform(tmp_path):
@@ -287,6 +311,23 @@ def test_experiment_table1_is_deterministic(tmp_path, capsys):
     ]
     for name in names:
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+
+
+def test_experiment_table2_writes_summary_and_one_dump_per_length(tmp_path, capsys):
+    code = main(
+        [
+            "experiment", "table2", "--runs", "2", "--seed", "1",
+            "--out-dir", str(tmp_path), "--workers", "1",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    lines = (tmp_path / "table2_summary.csv").read_text().strip().splitlines()
+    assert lines[0].startswith("walk_length,")
+    assert [line.split(",")[0] for line in lines[1:]] == ["20", "40", "80", "160", "320"]
+    assert sorted(p.name for p in tmp_path.glob("table2_trials_*.csv")) == sorted(
+        f"table2_trials_walk_length{n}.csv" for n in (20, 40, 80, 160, 320)
+    )
 
 
 def test_experiment_clusterstats_outputs(tmp_path, capsys):

@@ -183,6 +183,16 @@ def test_failed_trials_recorded_and_excluded(monkeypatch):
     assert [r.index for r in rows] == [0, 2, 3]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_with_every_budget_unreachable_returns_no_rows(monkeypatch, workers):
+    def unreachable(g, cfg, gen):
+        raise SamplingBudgetError("sampling budget unreachable")
+
+    monkeypatch.setattr(rwtv.experiments, "random_walk_sampling", unreachable)
+    monkeypatch.setattr(rwtv.experiments, "ProcessPoolExecutor", InProcessPool)
+    assert run_trials(small_spec(runs=3), workers=workers) == ([], 3)
+
+
 class InProcessPool:
     """Stands in for ProcessPoolExecutor and maps in this process, so that
     monkeypatched functions apply inside the chunks."""

@@ -213,6 +213,10 @@ def test_batch_matches_serial_solves_bit_for_bit():
     assert len({g.max_degree for g, _, _ in problems}) > 3
 
 
+def test_empty_batch_recovers_nothing():
+    assert _recover_batch([], SlpConfig()) == []
+
+
 def test_batch_rejects_any_bad_problem():
     good = (Graph(2, [(0, 1)]), sampling_set([0]), [1.0])
     bad = [
