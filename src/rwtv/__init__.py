@@ -8,5 +8,3 @@ from .slp import *  # noqa: F401,F403
 from .synth import *  # noqa: F401,F403
 
 __all__ = [*graph.__all__, "RngSeed", *sampling.__all__, *slp.__all__, *synth.__all__]
-
-__version__ = "0.1.0"

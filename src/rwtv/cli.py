@@ -1,9 +1,9 @@
 """Command-line surface: generate, sample, check, recover, experiment, extract.
 
 Exit codes: 0 success, 1 validation/input error, 2 runtime failure (for
-example an unreachable sampling budget). Output files are written to a
-temporary name and renamed on success, so failures never leave partial
-files behind.
+example an unreachable sampling budget or a walk too long to allocate).
+Output files are written to a temporary name and renamed on success, so
+failures never leave partial files behind.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _cmd_experiment(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(base, walks, workers=workers)
-    summaries = [aggregate_rows(rows, k, failures) for _, rows, failures in results]
+    summaries = [aggregate_rows(rows, failures=f) for _, rows, f in results]
     for value, (_, rows, _) in zip(values, results):
         suffix = f"_{param}{value}" if param else ""
         _atomic_write(
@@ -316,7 +316,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

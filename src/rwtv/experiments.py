@@ -215,15 +215,17 @@ def run_trials(spec, workers=1):
     return _run_specs([spec], workers)[0]
 
 
-def aggregate_rows(rows, cluster_count, failures=0):
+def aggregate_rows(rows, *, failures=0):
     """Exact mean/STD aggregation of trial rows.
 
-    Sums use ``math.fsum``, which is correctly rounded, so the summary is
+    The cluster count is the length of the rows' per-cluster tuples. Sums
+    use ``math.fsum``, which is correctly rounded, so the summary is
     invariant under permutations of the rows.
     """
     if not rows:
         raise ValueError("cannot aggregate zero successful trials")
     n = len(rows)
+    cluster_count = len(rows[0].samples_per_cluster)
     mean = math.fsum(r.nmse for r in rows) / n
     var = math.fsum((r.nmse - mean) ** 2 for r in rows) / n
     mean_samples = tuple(

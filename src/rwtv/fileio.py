@@ -268,7 +268,7 @@ def read_sampling(fh, node_count):
     if ids.size == 0:
         raise ValueError("sampling file lists no nodes")
     _check_node_ids(ids, node_count, "sampling", every_node=False)
-    return SamplingSet(nodes=ids, budget=int(ids.size))
+    return SamplingSet(nodes=ids)
 
 
 def write_sampling(m, fh):

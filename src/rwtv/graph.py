@@ -93,11 +93,6 @@ class Graph:
         return int(self.degrees.max())
 
     @functools.cached_property
-    def adjacency(self):
-        """Neighbor arrays, one read-only view of ``indices`` per node."""
-        return tuple(np.split(self.indices, self.indptr[1:-1]))
-
-    @functools.cached_property
     def _neighbor_lists(self):
         # plain-int neighbor lists, filled in by walks on first visit: a walk
         # steps faster over Python lists than through numpy indexing

@@ -53,10 +53,9 @@ class WalkConfig:
 
 @dataclass(frozen=True, eq=False)
 class SamplingSet:
-    """Distinct sampled node ids (sorted) plus the requested budget."""
+    """Distinct sampled node ids, sorted; its length is the sampling budget."""
 
     nodes: np.ndarray
-    budget: int
 
     def __post_init__(self):
         nodes = np.unique(np.asarray(self.nodes, dtype=np.int64))
@@ -64,13 +63,8 @@ class SamplingSet:
             raise ValueError("sampling set nodes must be distinct")
         if nodes.size and nodes[0] < 0:
             raise ValueError("node ids must be nonnegative")
-        if nodes.size > int(self.budget):
-            raise ValueError(
-                f"{nodes.size} nodes exceed the budget of {self.budget}"
-            )
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "budget", int(self.budget))
 
     def __len__(self):
         return int(self.nodes.size)
@@ -162,7 +156,7 @@ def random_walk_sampling(g, cfg, rng):
         path = random_walk(g, seed, cfg.length, gen)
         chosen.add(int(path[-1]))
         walks += 1
-    return SamplingSet(nodes=np.fromiter(chosen, np.int64), budget=cfg.budget)
+    return SamplingSet(nodes=np.fromiter(chosen, np.int64))
 
 
 def uniform_sampling(g, budget, rng):
@@ -174,7 +168,7 @@ def uniform_sampling(g, budget, rng):
         raise ValueError(f"budget {budget} exceeds node count {g.node_count}")
     gen = as_generator(rng)
     nodes = gen.choice(g.node_count, size=budget, replace=False)
-    return SamplingSet(nodes=nodes, budget=budget)
+    return SamplingSet(nodes=nodes)
 
 
 def stationary_distribution(g):

@@ -51,7 +51,7 @@ def _report(name, ok, detail=""):
 def test_criterion_1_budget_sweep_error_decreases():
     base = benchmark_trial_spec(runs=RUNS, seed=101)
     walks = [WalkConfig(base.walk.length, b) for b in (10, 20, 30, 40, 50)]
-    summaries = [aggregate_rows(rows, 4, f) for _, rows, f in run_sweep(base, walks)]
+    summaries = [aggregate_rows(rows, failures=f) for _, rows, f in run_sweep(base, walks)]
     means = [s.mean_nmse for s in summaries]
     inversions = [
         later - earlier for earlier, later in zip(means, means[1:]) if later > earlier
@@ -74,7 +74,7 @@ def test_criterion_1_budget_sweep_error_decreases():
 def test_criterion_2_walk_length_sweep_is_flat():
     base = benchmark_trial_spec(runs=RUNS, seed=202)
     walks = [WalkConfig(n, TABLE2_BUDGET) for n in (20, 40, 80, 160, 320)]
-    summaries = [aggregate_rows(rows, 4, f) for _, rows, f in run_sweep(base, walks)]
+    summaries = [aggregate_rows(rows, failures=f) for _, rows, f in run_sweep(base, walks)]
     means = [s.mean_nmse for s in summaries]
     spread = max(means) - min(means)
     ok = spread <= 0.10
@@ -92,7 +92,7 @@ def test_criterion_2_walk_length_sweep_is_flat():
 def test_criterion_3_samples_proportional_to_cut_sizes():
     base = benchmark_trial_spec(runs=RUNS, seed=303)
     _, rows, failures = run_sweep(base, [base.walk])[0]
-    summary = aggregate_rows(rows, 4, failures)
+    summary = aggregate_rows(rows, failures=failures)
     samples = np.array(summary.per_cluster_mean_samples)
     cuts = np.array(summary.per_cluster_mean_cut)
     r = float(np.corrcoef(samples, cuts)[0, 1])
@@ -176,14 +176,14 @@ def _two_cluster_instance(gen):
     for u in list(ends1) + list(ends2):
         nbrs = [
             int(w)
-            for w in g.adjacency[int(u)]
+            for w in g.neighbors(int(u))
             if part.labels[w] == part.labels[int(u)]
         ]
         sampled.update(int(v) for v in gen.choice(nbrs, size=2, replace=False))
     for v in range(g.node_count):
         if v not in sampled and gen.random() < 0.3:
             sampled.add(v)
-    m = SamplingSet(nodes=np.array(sorted(sampled)), budget=len(sampled))
+    m = SamplingSet(nodes=np.array(sorted(sampled)))
     return g, part, m, clustered_signal(part, gen.random(2))
 
 

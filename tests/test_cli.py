@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import subprocess
 import sys
 
@@ -29,7 +30,7 @@ def write_bridge_instance(tmp_path, sampled_nodes):
         write_edge_list(g, fh)
     with open(pp, "w", newline="") as fh:
         write_partition(part, fh)
-    m = SamplingSet(nodes=np.array(sampled_nodes), budget=len(sampled_nodes))
+    m = SamplingSet(nodes=np.array(sampled_nodes))
     with open(sp, "w", newline="") as fh:
         write_sampling(m, fh)
     return g, gp, pp, sp
@@ -121,6 +122,31 @@ def test_sample_budget_too_large_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "patched, command",
+    [
+        ("random_walk_sampling", ["sample", "--method", "walk", "--budget", "2"]),
+        ("extract_subgraph", ["extract-subgraph", "--walk-length", "5"]),
+    ],
+)
+def test_memory_error_exits_2_with_error_line(
+    tmp_path, capsys, monkeypatch, patched, command
+):
+    # a walk of 1e12 steps cannot allocate its uniforms; raising in place of
+    # the allocation keeps the test independent of the host's overcommit
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(f"rwtv.cli.{patched}", out_of_memory)
+    _, gp, _, _ = write_bridge_instance(tmp_path, [0])
+    out = tmp_path / "out.txt"
+    code = main([*command, "--graph", str(gp), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 7.28 TiB\n"
+    assert not out.exists()
+
+
 def test_check_satisfied_exits_0(tmp_path, capsys):
     _, gp, pp, sp = write_bridge_instance(tmp_path, [0, 1, 5, 6])
     code = main(["check", "--graph", str(gp), "--partition", str(pp), "--samples", str(sp)])
@@ -145,7 +171,7 @@ def test_recover_fully_sampled_prints_nmse_zero(tmp_path, capsys):
         write_signal(x, fh)
     m_all = tmp_path / "mall.csv"
     with open(m_all, "w", newline="") as fh:
-        write_sampling(SamplingSet(nodes=np.arange(8), budget=8), fh)
+        write_sampling(SamplingSet(nodes=np.arange(8)), fh)
     out = tmp_path / "xhat.csv"
     code = main(
         [
@@ -180,7 +206,7 @@ def test_recover_with_observations_only_prints_no_nmse(tmp_path, capsys):
 
 def test_recover_iteration_cap_far_above_iterations_run(tmp_path, capsys):
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    m = SamplingSet(nodes=np.array([0, 3]), budget=2)
+    m = SamplingSet(nodes=np.array([0, 3]))
     gp, sp, xp = tmp_path / "g.txt", tmp_path / "m.csv", tmp_path / "x.csv"
     with open(gp, "w") as fh:
         write_edge_list(g, fh)
@@ -343,6 +369,42 @@ def test_experiment_clusterstats_outputs(tmp_path, capsys):
     assert lines[0] == "cluster,mean_samples,mean_cut"
     assert len(lines) == 5
     assert "mean NMSE" in capsys.readouterr().out
+
+
+# SHA-256 of every file written by `experiment table1|clusterstats --runs 4
+# --seed 1 --workers 1`. Like PINNED_SOLVES in test_slp.py, these hold for
+# the numpy build they were recorded with (2.4.6): bit exactness of seeded
+# draws across numpy versions is not promised.
+PINNED_EXPERIMENT_FILES = {
+    "table1": {
+        "table1_summary.csv": "df3d4652e8de257ae18d6059861809563dc46de048c0457df52b42cca273a683",
+        "table1_trials_budget10.csv": "2b985c8a288756261c6b40d32f54afab96739f30baab85a4d33b5d78e8f375cd",
+        "table1_trials_budget20.csv": "2b5f025271af46b6dcf5fa49b4671652054d8d17999006c78bce52c7d851022f",
+        "table1_trials_budget30.csv": "b15c4c47a84645299a4e6e4d22ced8bdc248461a7e7c513fd87cdf199ffd8733",
+        "table1_trials_budget40.csv": "ff307f4683c649d605c965407e7feb8168864d897fdcad18cc8f07719838d123",
+        "table1_trials_budget50.csv": "57d1a8873050d385414216b8de30f7863da32c149ff3614c59408d715de0dbaa",
+    },
+    "clusterstats": {
+        "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
+        "clusterstats_trials.csv": "ddc2fab1d066063af86c6f96df807ae7d00bb76f5fb7c76a486f746b8998d794",
+    },
+}
+
+
+@pytest.mark.parametrize("which", sorted(PINNED_EXPERIMENT_FILES))
+def test_seeded_experiment_files_are_pinned(tmp_path, capsys, which):
+    code = main(
+        [
+            "experiment", which, "--runs", "4", "--seed", "1",
+            "--out-dir", str(tmp_path), "--workers", "1",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == PINNED_EXPERIMENT_FILES[which]
 
 
 def test_extract_subgraph_writes_map_back_to_source_ids(tmp_path, capsys):

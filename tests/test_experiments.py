@@ -11,6 +11,7 @@ from rwtv import AppmSpec, RngSeed, SamplingBudgetError, SlpConfig, WalkConfig
 from rwtv.experiments import (
     TrialRow,
     TrialSpec,
+    TrialSummary,
     aggregate_rows,
     benchmark_trial_spec,
     read_trials_csv,
@@ -75,7 +76,7 @@ def test_budget_above_nodes_rejected():
 def test_aggregate_matches_manual_recompute():
     rows, failures = run_trials(small_spec(runs=8))
     assert failures == 0
-    summary = aggregate_rows(rows, 2, failures)
+    summary = aggregate_rows(rows, failures=failures)
     values = [r.nmse for r in rows]
     mean = math.fsum(values) / len(values)
     assert summary.mean_nmse == mean
@@ -91,12 +92,30 @@ def test_aggregate_is_permutation_invariant():
     rows, _ = run_trials(small_spec(runs=10))
     shuffled = rows[:]
     random.Random(5).shuffle(shuffled)
-    assert aggregate_rows(rows, 2) == aggregate_rows(shuffled, 2)
+    assert aggregate_rows(rows) == aggregate_rows(shuffled)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError, match="zero successful"):
-        aggregate_rows([], 2)
+        aggregate_rows([])
+
+
+def test_aggregate_reads_cluster_count_from_rows():
+    rows = [
+        TrialRow(0, 0.5, (1, 2, 3, 4), (5, 6, 7, 8)),
+        TrialRow(1, 0.25, (3, 2, 1, 0), (1, 2, 3, 4)),
+    ]
+    assert aggregate_rows(rows, failures=3) == TrialSummary(
+        mean_nmse=0.375,
+        std_nmse=0.125,
+        per_cluster_mean_samples=(2.0, 2.0, 2.0, 2.0),
+        per_cluster_mean_cut=(3.0, 4.0, 5.0, 6.0),
+        failures=3,
+    )
+    # failures is keyword-only, so a stale cluster-count argument cannot
+    # pass for a failure count
+    with pytest.raises(TypeError):
+        aggregate_rows(rows, 4)
 
 
 def test_trials_csv_round_trips_exactly():
@@ -106,7 +125,7 @@ def test_trials_csv_round_trips_exactly():
     buf.seek(0)
     again = read_trials_csv(buf)
     assert again == rows
-    assert aggregate_rows(again, 2, failures) == aggregate_rows(rows, 2, failures)
+    assert aggregate_rows(again, failures=failures) == aggregate_rows(rows, failures=failures)
 
 
 TRIALS_HEADER = "trial_index,nmse,samples_c0,cut_c0\n"
@@ -252,8 +271,8 @@ def test_run_table1_shapes_and_reproducibility():
     base = small_spec(runs=3)
     budgets = (3, 6)
     walks = [WalkConfig(base.walk.length, b) for b in budgets]
-    s1 = [aggregate_rows(rows, 2, f) for _, rows, f in run_sweep(base, walks)]
-    s2 = [aggregate_rows(rows, 2, f) for _, rows, f in run_sweep(base, walks)]
+    s1 = [aggregate_rows(rows, failures=f) for _, rows, f in run_sweep(base, walks)]
+    s2 = [aggregate_rows(rows, failures=f) for _, rows, f in run_sweep(base, walks)]
     assert len(s1) == 2
     assert s1 == s2
     for budget, summary in zip(budgets, s1):
@@ -266,7 +285,7 @@ def test_run_table2_uses_fixed_budget():
     collected = run_sweep(
         base, [WalkConfig(n, rwtv.experiments.TABLE2_BUDGET) for n in (3, 5)]
     )
-    summaries = [aggregate_rows(rows, 2, f) for _, rows, f in collected]
+    summaries = [aggregate_rows(rows, failures=f) for _, rows, f in collected]
     assert len(summaries) == 2
     for spec, rows, _ in collected:
         assert spec.walk.budget == rwtv.experiments.TABLE2_BUDGET
@@ -277,7 +296,7 @@ def test_run_table2_uses_fixed_budget():
 def test_run_cluster_stats_summary():
     base = small_spec(runs=5)
     _, rows, failures = run_sweep(base, [base.walk])[0]
-    summary = aggregate_rows(rows, 2, failures)
+    summary = aggregate_rows(rows, failures=failures)
     assert len(summary.per_cluster_mean_samples) == 2
     assert sum(summary.per_cluster_mean_samples) == pytest.approx(
         base.walk.budget

@@ -59,6 +59,22 @@ def test_node_count_beyond_int64_edge_keys_rejected():
         Graph(3_037_000_500, [(0, 1)])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph(0, []), "node_count must be positive"),
+        (lambda: Graph(3, [(0, 1, 2)]), "node pairs"),
+        (lambda: Partition([]), "nonempty 1-d"),
+        (lambda: Partition([-1, 0]), "nonnegative"),
+        (lambda: Partition.from_sizes([2, 0]), "sizes must be positive"),
+        (lambda: Partition([0, 1]).cluster_of(2), "out of range"),
+    ],
+)
+def test_invalid_graph_and_partition_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_isolated_nodes_allowed():
     g = Graph(5, [(0, 1)])
     assert degree(g, 4) == 0
@@ -181,8 +197,8 @@ def test_connectivity_and_bipartiteness_known_by_construction():
 @given(graphs())
 def test_adjacency_symmetric_and_degree_sum(g):
     for i in range(g.node_count):
-        for j in g.adjacency[i]:
-            assert i in g.adjacency[j]
+        for j in g.neighbors(i):
+            assert i in g.neighbors(j)
     assert int(g.degrees.sum()) == 2 * g.edge_count
 
 

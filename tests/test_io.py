@@ -162,7 +162,7 @@ def test_read_signal_rows_partial():
 
 
 def test_read_observations_full_signal_or_sampled_nodes_in_any_order():
-    m = SamplingSet(nodes=np.array([1, 3, 4]), budget=3)
+    m = SamplingSet(nodes=np.array([1, 3, 4]))
     full = "node_id,value\n3,0.3\n0,0.0\n4,0.4\n2,0.2\n1,0.1\n"
     observed, truth = read_observations(io.StringIO(full), m, 5)
     assert observed.tolist() == [0.1, 0.3, 0.4]
@@ -189,7 +189,7 @@ def test_read_observations_full_signal_or_sampled_nodes_in_any_order():
     ],
 )
 def test_read_observations_rejects(rows, message):
-    m = SamplingSet(nodes=np.array([1, 3, 4]), budget=3)
+    m = SamplingSet(nodes=np.array([1, 3, 4]))
     with pytest.raises(ValueError, match=message):
         read_observations(io.StringIO("node_id,value\n" + rows), m, 5)
 
@@ -210,13 +210,13 @@ def test_read_partition_densifies_sparse_cluster_ids():
 
 
 def test_sampling_round_trip():
-    m = SamplingSet(nodes=np.array([4, 1, 9]), budget=3)
+    m = SamplingSet(nodes=np.array([4, 1, 9]))
     buf = io.StringIO()
     write_sampling(m, buf)
     buf.seek(0)
     back = read_sampling(buf, 10)
     assert back.nodes.tolist() == [1, 4, 9]
-    assert back.budget == 3
+    assert len(back) == 3
 
 
 def test_read_sampling_validation():
@@ -246,7 +246,7 @@ def test_writers_golden_bytes():
         ),
         (
             write_sampling,
-            SamplingSet(nodes=np.array([9, 1, 4]), budget=5),
+            SamplingSet(nodes=np.array([9, 1, 4])),
             "node_id\r\n1\r\n4\r\n9\r\n",
         ),
         (

@@ -54,7 +54,7 @@ def test_walk_steps_follow_edges():
     g = complete_graph(5)
     path = random_walk(g, 0, 50, RngSeed(1))
     for a, b in zip(path[:-1], path[1:]):
-        assert b in g.adjacency[a]
+        assert b in g.neighbors(a)
 
 
 def test_walk_invalid_seed():
@@ -115,7 +115,7 @@ def test_walk_matches_reference_walk():
 def test_full_budget_exhausts_nodes():
     m = random_walk_sampling(complete_graph(3), WalkConfig(4, 3), RngSeed(0))
     assert m.nodes.tolist() == [0, 1, 2]
-    assert m.budget == 3
+    assert len(m) == 3
 
 
 def test_budget_one_singleton():
@@ -160,6 +160,27 @@ def test_per_cluster_counts_track_cut_sizes():
         cuts += [cut_size(g, part, c) for c in range(4)]
     r = np.corrcoef(counts, cuts)[0, 1]
     assert r >= 0.9
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WalkConfig(0, 3), "walk length must be >= 1"),
+        (lambda: SamplingSet(nodes=[1, 1]), "distinct"),
+        (lambda: SamplingSet(nodes=[-1]), "nonnegative"),
+    ],
+)
+def test_invalid_walk_config_and_sampling_set_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_sampling_set_is_just_its_nodes():
+    # the budget is len(m); there is no second field to disagree with it
+    with pytest.raises(TypeError):
+        SamplingSet(nodes=[0], budget=1)
+    m = SamplingSet(nodes=[4, 2])
+    assert len(m) == 2 and m.nodes.tolist() == [2, 4]
 
 
 # --------------------------------------------------------- uniform sampling
@@ -222,7 +243,7 @@ def brute_force_violations(g, part, m):
                 if (
                     v in sampled
                     and part.labels[v] == part.labels[node]
-                    and any(int(w) == v for w in g.adjacency[node])
+                    and any(int(w) == v for w in g.neighbors(node))
                 ):
                     achieved += 1
             if achieved < 2:
@@ -232,20 +253,20 @@ def brute_force_violations(g, part, m):
 
 def test_single_cluster_vacuously_satisfied():
     g = complete_graph(4)
-    m = SamplingSet(nodes=np.array([0]), budget=1)
+    m = SamplingSet(nodes=np.array([0]))
     report = check_nullspace_condition(g, Partition([0] * 4), m)
     assert report.satisfied and report.violations == ()
 
 
 def test_bridge_example_satisfied():
     g, part = two_cliques_with_bridge()
-    m = SamplingSet(nodes=np.array([0, 1, 5, 6]), budget=4)
+    m = SamplingSet(nodes=np.array([0, 1, 5, 6]))
     assert check_nullspace_condition(g, part, m).satisfied
 
 
 def test_bridge_example_violated_with_achieved_count():
     g, part = two_cliques_with_bridge()
-    m = SamplingSet(nodes=np.array([0, 1, 5]), budget=3)
+    m = SamplingSet(nodes=np.array([0, 1, 5]))
     report = check_nullspace_condition(g, part, m)
     assert not report.satisfied
     assert len(report.violations) == 1
@@ -256,7 +277,7 @@ def test_bridge_example_violated_with_achieved_count():
 
 def test_unknown_sample_nodes_rejected():
     g, part = two_cliques_with_bridge()
-    m = SamplingSet(nodes=np.array([0, 99]), budget=2)
+    m = SamplingSet(nodes=np.array([0, 99]))
     with pytest.raises(ValueError, match="unknown"):
         check_nullspace_condition(g, part, m)
 
@@ -289,10 +310,10 @@ def test_adding_samples_never_breaks_satisfied(g, data):
         st.sets(st.integers(0, g.node_count - 1), min_size=1)
     )
     extra = data.draw(st.sets(st.integers(0, g.node_count - 1)))
-    m = SamplingSet(nodes=np.array(sorted(base)), budget=len(base))
+    m = SamplingSet(nodes=np.array(sorted(base)))
     if check_nullspace_condition(g, part, m).satisfied:
         grown = sorted(base | extra)
-        m2 = SamplingSet(nodes=np.array(grown), budget=len(grown))
+        m2 = SamplingSet(nodes=np.array(grown))
         assert check_nullspace_condition(g, part, m2).satisfied
 
 

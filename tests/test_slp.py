@@ -34,7 +34,7 @@ from strategies import graphs
 
 def sampling_set(nodes):
     nodes = np.asarray(nodes)
-    return SamplingSet(nodes=nodes, budget=int(nodes.size))
+    return SamplingSet(nodes=nodes)
 
 
 def random_instance(seed, max_nodes=10, p=0.4):
@@ -224,6 +224,8 @@ def test_batch_rejects_any_bad_problem():
         ((Graph(2, [(0, 1)]), sampling_set([]), []), "nonempty"),
         ((Graph(2, [(0, 1)]), sampling_set([5]), [1.0]), "unknown"),
         ((Graph(2, [(0, 1)]), sampling_set([0]), [1.0, 2.0]), "sample values"),
+        ((Graph(2, [(0, 1)]), sampling_set([0]), [np.nan]), "finite"),
+        ((Graph(2, [(0, 1)]), sampling_set([0]), [np.inf]), "finite"),
     ]
     for problem, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -254,7 +256,7 @@ def test_step_size_within_stability_bound(g):
 
 def test_empty_sampling_set_rejected():
     g = Graph(2, [(0, 1)])
-    m = SamplingSet(nodes=np.array([], dtype=np.int64), budget=1)
+    m = SamplingSet(nodes=np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="nonempty"):
         slp_recover(g, m, np.array([]))
 
@@ -275,6 +277,20 @@ def test_unknown_sample_nodes_rejected():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError, match="unknown"):
         slp_recover(g, sampling_set([5]), [1.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SlpConfig(max_iterations=0), "max_iterations must be >= 1"),
+        (lambda: SlpConfig(rel_change_tol=float("nan")), "rel_change_tol"),
+        (lambda: SlpConfig(rel_change_tol=float("inf")), "rel_change_tol"),
+        (lambda: SlpConfig(rel_change_tol=-1), "rel_change_tol"),
+    ],
+)
+def test_invalid_slp_config_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # --------------------------------------------------------------------- nmse
