@@ -94,9 +94,25 @@ class Graph:
 
     @functools.cached_property
     def _neighbor_lists(self):
-        # plain-int neighbor lists, filled in by walks on first visit: a walk
-        # steps faster over Python lists than through numpy indexing
+        # the walks' step table: row v is None until _step_row fills it on
+        # the first visit to v, since a walk steps faster over Python lists
+        # than through numpy indexing and often visits few nodes
         return [None] * self.node_count
+
+    def _step_row(self, v):
+        """Fill and return row ``v`` of the step table.
+
+        The row is ``[d, n_0, ..., n_{d-1}, n_{d-1}]``: the degree, as a
+        float, then the ascending neighbors, the last one twice. A step from
+        ``v`` with a uniform ``u`` in [0, 1) goes to ``row[int(u * row[0]) + 1]``.
+        ``u * d`` can round up to ``d`` at the last double below 1, which the
+        repeated neighbor absorbs. An isolated node's row is ``[1.0, v, v]``,
+        so its walks stay put. A float degree gives the same ``u * d`` as an
+        int one, and Python multiplies two floats faster.
+        """
+        nb = self.indices[self.indptr[v] : self.indptr[v + 1]].tolist() or [v]
+        row = self._neighbor_lists[v] = [float(len(nb)), *nb, nb[-1]]
+        return row
 
     def neighbors(self, i):
         i = _check_node(self, i)

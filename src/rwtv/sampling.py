@@ -6,6 +6,13 @@ node with probability proportional to its degree, so clusters with larger
 cut size get sampled more densely; :func:`check_nullspace_condition` tests
 the combinatorial condition under which exact recovery by total-variation
 minimization is guaranteed.
+
+Both walkers step over the graph's step table (see ``Graph._step_row``):
+one step from ``v`` with a uniform ``u`` is ``r = rows[v]`` then
+``v = r[int(u * r[0]) + 1]``. The sampler keeps only each walk's current
+node, not its path. Uniforms are drawn in blocks of at most ``_BLOCK``,
+so a walk's memory does not grow with its length; the blocks read the
+generator's stream exactly as one draw of ``length - 1`` would.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _check_node, _check_partition, boundary_edges
+from .graph import _check_node, _check_partition
 from .rng import as_generator
 
 __all__ = [
@@ -29,6 +36,10 @@ __all__ = [
     "stationary_distribution",
     "check_nullspace_condition",
 ]
+
+
+# most uniforms a walk draws at once, which bounds its memory
+_BLOCK = 4096
 
 
 class SamplingBudgetError(RuntimeError):
@@ -111,23 +122,22 @@ def random_walk(g, seed_node, length, rng):
     if length < 1:
         raise ValueError(f"walk length must be >= 1, got {length}")
     gen = as_generator(rng)
-    adj = g._neighbor_lists
-    indptr, indices = g.indptr, g.indices
-    path = [v]
-    for u in gen.random(length - 1).tolist():
-        nb = adj[v]
-        if nb is None:
-            nb = adj[v] = indices[indptr[v] : indptr[v + 1]].tolist()
-        size = len(nb)
-        if size:
-            k = int(u * size)
-            # u < 1, but u * size can still round up to size at the last
-            # representable double; clamp so the index stays valid
-            if k == size:
-                k -= 1
-            v = nb[k]
-        path.append(v)
-    return np.array(path, dtype=np.int64)
+    path = np.empty(length, dtype=np.int64)
+    path[0] = v
+    rows, fill = g._neighbor_lists, g._step_row
+    done = 1
+    while done < length:
+        block = min(length - done, _BLOCK)
+        nodes = []
+        for u in gen.random(block).tolist():
+            r = rows[v]
+            if r is None:
+                r = fill(v)
+            v = r[int(u * r[0]) + 1]
+            nodes.append(v)
+        path[done : done + block] = nodes
+        done += block
+    return path
 
 
 def random_walk_sampling(g, cfg, rng):
@@ -143,6 +153,8 @@ def random_walk_sampling(g, cfg, rng):
             f"budget {cfg.budget} exceeds node count {g.node_count}"
         )
     gen = as_generator(rng)
+    rows, fill = g._neighbor_lists, g._step_row
+    steps = cfg.length - 1
     chosen = set()
     walks = 0
     cap = 100 * cfg.budget
@@ -152,9 +164,17 @@ def random_walk_sampling(g, cfg, rng):
                 f"sampling budget unreachable: {len(chosen)}/{cfg.budget} "
                 f"distinct endpoints after {walks} walks"
             )
-        seed = int(gen.integers(g.node_count))
-        path = random_walk(g, seed, cfg.length, gen)
-        chosen.add(int(path[-1]))
+        v = int(gen.integers(g.node_count))
+        left = steps
+        while left:
+            block = min(left, _BLOCK)
+            left -= block
+            for u in gen.random(block).tolist():
+                r = rows[v]
+                if r is None:
+                    r = fill(v)
+                v = r[int(u * r[0]) + 1]
+        chosen.add(v)
         walks += 1
     return SamplingSet(nodes=np.fromiter(chosen, np.int64))
 
@@ -198,17 +218,17 @@ def check_nullspace_condition(g, part, m):
         h[sampled[t]], minlength=n
     )
 
-    violations = []
-    for e in boundary_edges(g, part):
-        for node in (int(tails[e]), int(heads[e])):
-            if count[node] < 2:
-                violations.append(
-                    NullspaceViolation(
-                        edge=int(e),
-                        node=node,
-                        cluster=int(la[node]),
-                        achieved=int(count[node]),
-                    )
-                )
-    return NullspaceReport(tuple(violations))
-
+    # boundary edge endpoints, edge ascending and tail before head; each
+    # one whose count is below 2 is a violation
+    boundary = np.flatnonzero(~same)
+    ends = g.edges[boundary].ravel()
+    fail = count[ends] < 2
+    edge, node = np.repeat(boundary, 2)[fail], ends[fail]
+    return NullspaceReport(
+        tuple(
+            NullspaceViolation(edge=e, node=v, cluster=c, achieved=a)
+            for e, v, c, a in zip(
+                edge.tolist(), node.tolist(), la[node].tolist(), count[node].tolist()
+            )
+        )
+    )

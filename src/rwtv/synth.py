@@ -9,6 +9,7 @@ for use as statistical oracles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,16 @@ class AppmSpec:
         return cluster_id
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n):
+    """Row and column ids of the pairs above the diagonal of an n x n block,
+    read-only; sweeps draw many graphs with the same cluster sizes."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def generate_appm(spec, rng):
     """Draw one APPM graph together with its planted partition.
 
@@ -72,7 +83,7 @@ def generate_appm(spec, rng):
     blocks = []
     for a, n_a in enumerate(sizes):
         if spec.p_intra > 0.0 and n_a > 1:
-            iu, ju = np.triu_indices(n_a, k=1)
+            iu, ju = _upper_pairs(n_a)
             mask = gen.random(iu.size) < spec.p_intra
             blocks.append(
                 np.column_stack([iu[mask] + offsets[a], ju[mask] + offsets[a]])

@@ -407,6 +407,34 @@ def test_seeded_experiment_files_are_pinned(tmp_path, capsys, which):
     assert digests == PINNED_EXPERIMENT_FILES[which]
 
 
+# SHA-256 of every file written by `experiment table2 --runs 2 --seed 1
+# --workers 1`: walks of length 20..320, where the walker does most of the
+# drawing. Recorded with the same numpy build as PINNED_EXPERIMENT_FILES.
+PINNED_TABLE2_FILES = {
+    "table2_summary.csv": "da1f3c936e48fc3f0922b4e2d1c8ac973223a7d3a296711285c71b025eef56f5",
+    "table2_trials_walk_length20.csv": "2884a469c69d784a62191e0b242147f870028e859d1ea6abd901713f5f583577",
+    "table2_trials_walk_length40.csv": "a744d03d4b2bff729957f85c6a82d5432147c8a5b0019e98a5686546e4b25d32",
+    "table2_trials_walk_length80.csv": "1da46f1c9aea173eb2a9022bb110f1ce5116842aa1101568ee14e2f2c7f3004b",
+    "table2_trials_walk_length160.csv": "30d4d044de332d470e0957c9bf625146ceb7550a4d5cd044bf9c12a4416ff73a",
+    "table2_trials_walk_length320.csv": "f86101914e24979390342c00f715fc10fef8e0f4ab3658f34a1209a3f4f16d08",
+}
+
+
+def test_seeded_table2_files_are_pinned(tmp_path, capsys):
+    code = main(
+        [
+            "experiment", "table2", "--runs", "2", "--seed", "1",
+            "--out-dir", str(tmp_path), "--workers", "1",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == PINNED_TABLE2_FILES
+
+
 def test_extract_subgraph_writes_map_back_to_source_ids(tmp_path, capsys):
     gp = tmp_path / "g.txt"
     # external ids 100..103 on a path plus an off-walk pair 200-201

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,7 +112,76 @@ def test_walk_matches_reference_walk():
                 assert path.tolist() == expected
 
 
+def test_walks_longer_than_two_blocks_match_reference_walk():
+    # the uniforms are drawn in blocks of rwtv.sampling._BLOCK; the blocks
+    # must read the stream exactly as one draw, and leave it where one would
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (2, 4), (4, 5)])  # 3 and 6 isolated
+    length = 2 * rwtv.sampling._BLOCK + 7
+    for seed in range(3):
+        ref = RngSeed(seed).generator()
+        expected = reference_walk(g, 0, length, ref)
+        gen = RngSeed(seed).generator()
+        assert random_walk(g, 0, length, gen).tolist() == expected
+        assert gen.random() == ref.random()
+
+        ref = RngSeed(seed).generator()
+        start = int(ref.integers(g.node_count))
+        end = reference_walk(g, start, length, ref)[-1]
+        gen = RngSeed(seed).generator()
+        m = random_walk_sampling(g, WalkConfig(length, 1), gen)
+        assert m.nodes.tolist() == [end]
+        assert gen.random() == ref.random()
+
+
 # ----------------------------------------------------------- walk sampling
+
+def reference_sampler(g, cfg, gen):
+    # the sampler's definition: endpoints of reference walks from uniformly
+    # drawn seeds until the budget is met
+    chosen = set()
+    while len(chosen) < cfg.budget:
+        start = int(gen.integers(g.node_count))
+        chosen.add(reference_walk(g, start, cfg.length, gen)[-1])
+    return sorted(chosen)
+
+
+def test_walk_sampling_matches_reference_sampler():
+    graphs_ = [
+        Graph(1, []),
+        Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)]),  # nodes 3 and 6 isolated
+        Graph(9, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 7)]),  # 0, 5, 6, 8 isolated
+        generate_appm(BENCH, RngSeed(4).generator())[0],
+    ]
+    for g in graphs_:
+        for seed in range(4):
+            for length in (1, 2, 17, 200):
+                cfg = WalkConfig(length, 1 + seed * (g.node_count - 1) // 3)
+                ref = RngSeed(seed).generator()
+                expected = reference_sampler(g, cfg, ref)
+                gen = RngSeed(seed).generator()
+                assert random_walk_sampling(g, cfg, gen).nodes.tolist() == expected
+                assert gen.random() == ref.random()
+
+
+# SHA-256 over the sampling sets of 4 reference draws at each Table 2 walk
+# length, budget 50, each followed by the generator's next draw. Like
+# PINNED_SOLVES in test_slp.py, it holds for the numpy build it was recorded
+# with (2.4.6).
+PINNED_WALK_SETS = "b36388f15a4c6d593e48090f18c255df46643d0367e6070e1b110c325817ed39"
+
+
+def test_seeded_walk_sampling_sets_are_pinned():
+    h = hashlib.sha256()
+    master = RngSeed(17)
+    for k, length in enumerate((20, 40, 80, 160, 320)):
+        for t in range(4):
+            gen = master.substream(4 * k + t).generator()
+            g, _ = generate_appm(BENCH, gen)
+            m = random_walk_sampling(g, WalkConfig(length, 50), gen)
+            h.update(m.nodes.tobytes())
+            h.update(gen.random(1).tobytes())
+    assert h.hexdigest() == PINNED_WALK_SETS
+
 
 def test_full_budget_exhausts_nodes():
     m = random_walk_sampling(complete_graph(3), WalkConfig(4, 3), RngSeed(0))
@@ -135,15 +206,13 @@ def test_walk_sampling_deterministic():
     assert np.array_equal(m1.nodes, m2.nodes)
 
 
-def test_unreachable_budget_raises(monkeypatch):
-    # force every walk to the same endpoint so a budget of 2 can never fill
-    monkeypatch.setattr(
-        rwtv.sampling,
-        "random_walk",
-        lambda g, seed, length, rng: np.zeros(length, dtype=np.int64),
-    )
+def test_unreachable_budget_raises():
+    # force every walk to the same endpoint so a budget of 2 can never fill:
+    # a step table whose every row (see Graph._step_row) leads to node 0
+    g = complete_graph(4)
+    g._neighbor_lists[:] = [[1.0, 0, 0]] * g.node_count
     with pytest.raises(SamplingBudgetError, match="unreachable"):
-        random_walk_sampling(complete_graph(4), WalkConfig(3, 2), RngSeed(0))
+        random_walk_sampling(g, WalkConfig(3, 2), RngSeed(0))
 
 
 def test_per_cluster_counts_track_cut_sizes():
@@ -299,6 +368,7 @@ def test_matches_brute_force_on_random_instances():
         expected = brute_force_violations(g, part, m)
         got = [(v.edge, v.node, v.cluster, v.achieved) for v in report.violations]
         assert got == expected
+        assert all(type(x) is int for row in got for x in row)
         assert report.satisfied == (not expected)
 
 
