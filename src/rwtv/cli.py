@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from .experiments import (
@@ -28,6 +29,8 @@ from .experiments import (
     write_trials_csv,
 )
 from .fileio import (
+    _float_field,
+    _int_field,
     extract_subgraph,
     parse_edge_list,
     read_observations,
@@ -72,9 +75,20 @@ def _load_graph(path, drop_isolated=False):
         return parse_edge_list(fh, drop_isolated=drop_isolated)
 
 
+def _number(parse, text):
+    """A numeric option, read as rwtv reads a CSV field (argparse type)."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+
+
+_INT, _FLOAT = partial(_number, _int_field), partial(_number, _float_field)
+
+
 def _parse_sizes(text):
     try:
-        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        sizes = tuple(_int_field(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"--sizes must be comma-separated integers, got {text!r}")
     if not sizes:
@@ -164,7 +178,6 @@ def _cmd_experiment(args):
         walks = [WalkConfig(length, TABLE2_BUDGET) for length in values]
     else:
         param, values, walks = None, [None], [base.walk]
-    k = base.appm.cluster_count
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = run_sweep(base, walks, workers=workers)
@@ -173,7 +186,7 @@ def _cmd_experiment(args):
         suffix = f"_{param}{value}" if param else ""
         _atomic_write(
             out_dir / f"{args.which}_trials{suffix}.csv",
-            lambda fh, rows=rows: write_trials_csv(fh, rows, k),
+            lambda fh, rows=rows: write_trials_csv(fh, rows),
         )
     if param is None:
         (summary,) = summaries
@@ -236,9 +249,9 @@ def _build_parser():
 
     p = sub.add_parser("generate-appm", help="draw a planted-partition graph")
     p.add_argument("--sizes", required=True, help="comma-separated cluster sizes")
-    p.add_argument("--p", type=float, required=True, help="intra-cluster edge probability")
-    p.add_argument("--q", type=float, required=True, help="inter-cluster edge probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_FLOAT, required=True, help="intra-cluster edge probability")
+    p.add_argument("--q", type=_FLOAT, required=True, help="inter-cluster edge probability")
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-partition", required=True)
     p.add_argument("--out-signal", required=True)
@@ -251,9 +264,9 @@ def _build_parser():
 
     p = sub.add_parser("sample", help="build a sampling set", parents=[graph_input])
     p.add_argument("--method", choices=["walk", "uniform"], required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--walk-length", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_INT, required=True)
+    p.add_argument("--walk-length", type=_INT, default=10)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -273,18 +286,18 @@ def _build_parser():
         required=True,
         help="full signal (truth) or values on exactly the sampled nodes",
     )
-    p.add_argument("--max-iter", type=int, default=SlpConfig().max_iterations)
-    p.add_argument("--tol", type=float, default=SlpConfig().rel_change_tol)
+    p.add_argument("--max-iter", type=_INT, default=SlpConfig().max_iterations)
+    p.add_argument("--tol", type=_FLOAT, default=SlpConfig().rel_change_tol)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo benchmark")
     p.add_argument("which", choices=["table1", "table2", "clusterstats"])
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--runs", type=_INT, default=1000)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
+        "--workers", type=_INT, default=os.cpu_count() or 1,
         help="trial worker processes (default: all cores)",
     )
     p.set_defaults(func=_cmd_experiment)
@@ -294,8 +307,8 @@ def _build_parser():
         help="induced neighborhood of one random walk",
         parents=[graph_input],
     )
-    p.add_argument("--walk-length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--walk-length", type=_INT, required=True)
+    p.add_argument("--seed", type=_INT, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--out-map", help="optional CSV mapping new ids to source ids")
     p.set_defaults(func=_cmd_extract_subgraph)

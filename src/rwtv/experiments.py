@@ -2,11 +2,11 @@
 
 Each trial draws a fresh planted-partition graph and clustered signal,
 builds a walk-based sampling set, recovers the signal, and records the
-normalized recovery error together with per-cluster sampling statistics.
-A sweep runs one set of trials per walk configuration; its rows
-aggregate into mean/STD summaries and dump to per-trial and summary CSV
-files. Trials are drawn one by one and recovered in chunks, all trials of
-a chunk in one batched solve, with the same results as one at a time.
+normalized recovery error and per-cluster sampling statistics in one
+:class:`TrialRow`. :func:`run_sweep` runs one set of trials per walk
+configuration, recovering each chunk of trials in one batched solve with
+the same rows as :func:`run_trial` one at a time; rows aggregate into
+mean/STD summaries and dump to CSV files.
 
 Trial RNG streams derive from the spec's master seed plus the trial
 index; sweep variants are offset by ``variant_index << 32``, so results
@@ -44,7 +44,6 @@ __all__ = [
     "CLUSTER_STATS_BUDGET",
     "benchmark_trial_spec",
     "run_trial",
-    "run_trials",
     "aggregate_rows",
     "run_sweep",
     "write_trials_csv",
@@ -121,23 +120,23 @@ class TrialSummary:
 
 
 def benchmark_trial_spec(runs=1000, seed=0):
-    """TrialSpec for the reference four-cluster benchmark setup."""
+    """TrialSpec for the reference four-cluster benchmark setup (int seed)."""
     return TrialSpec(
         appm=AppmSpec(BENCHMARK_CLUSTER_SIZES, BENCHMARK_P_INTRA, BENCHMARK_Q_INTER),
         walk=WalkConfig(length=BENCHMARK_WALK_LENGTH, budget=CLUSTER_STATS_BUDGET),
         slp=BENCHMARK_SLP,
         runs=runs,
-        master_seed=seed if isinstance(seed, RngSeed) else RngSeed(seed),
+        master_seed=RngSeed(seed),
     )
 
 
 def run_trial(spec, trial_index):
     """One full pipeline pass: generate, sample, recover, score.
 
-    Returns ``(nmse, per-cluster sample counts, per-cluster cut sizes)``.
-    Deterministic in ``(spec.master_seed, trial_index)``.
+    Returns the trial's :class:`TrialRow`; deterministic in
+    ``(spec.master_seed, trial_index)``.
     """
-    return _recover_and_score(spec.slp, [_draw(spec, trial_index)])[0]
+    return _recover_and_score(spec.slp, [(trial_index, _draw(spec, trial_index))])[0]
 
 
 def _draw(spec, trial_index):
@@ -149,32 +148,30 @@ def _draw(spec, trial_index):
     return g, part, x_true, m
 
 
-def _recover_and_score(cfg, draws):
-    """Recover every drawn trial in one batch and score each."""
-    results = _recover_batch([(g, m, x[m.nodes]) for g, _, x, m in draws], cfg)
-    scored = []
-    for (g, part, x_true, m), result in zip(draws, results):
+def _recover_and_score(cfg, drawn):
+    """One :class:`TrialRow` per ``(trial index, draw)``, in one batch."""
+    results = _recover_batch([(g, m, x[m.nodes]) for _, (g, _, x, m) in drawn], cfg)
+    rows = []
+    for (index, (g, part, x_true, m)), result in zip(drawn, results):
         k = part.cluster_count
-        counts = np.bincount(part.labels[m.nodes], minlength=k)
-        cuts = np.array([cut_size(g, part, c) for c in range(k)])
-        scored.append((nmse(result.recovered, x_true), counts, cuts))
-    return scored
+        counts = np.bincount(part.labels[m.nodes], minlength=k).tolist()
+        cuts = [cut_size(g, part, c) for c in range(k)]
+        error = nmse(result.recovered, x_true)
+        rows.append(TrialRow(index, error, tuple(counts), tuple(cuts)))
+    return rows
 
 
 def _run_chunk(jobs):
     """``(s, row)`` for each ``(s, spec, trial index)`` job whose sampling
     budget was reachable. The specs of one sweep share one SlpConfig."""
-    drawn = []
+    variants, drawn = [], []
     for s, spec, index in jobs:
         try:
-            drawn.append((s, index, _draw(spec, index)))
+            drawn.append((index, _draw(spec, index)))
         except SamplingBudgetError:
-            pass
-    scored = _recover_and_score(jobs[0][1].slp, [draw for _, _, draw in drawn])
-    return [
-        (s, TrialRow(index, error, tuple(counts.tolist()), tuple(cuts.tolist())))
-        for (s, index, _), (error, counts, cuts) in zip(drawn, scored)
-    ]
+            continue
+        variants.append(s)
+    return list(zip(variants, _recover_and_score(jobs[0][1].slp, drawn)))
 
 
 def _check_workers(workers):
@@ -183,10 +180,57 @@ def _check_workers(workers):
     return int(workers)
 
 
-def _run_specs(specs, workers):
-    """Every trial of every spec, solved in chunks of at most
-    ``_CHUNK_TRIALS``; returns one ``(rows, failures)`` per spec."""
+def _cluster_count(rows):
+    """The one length of every row's per-cluster tuples (0 for no rows)."""
+    lengths = {len(r.samples_per_cluster) for r in rows}
+    lengths |= {len(r.cut_per_cluster) for r in rows}
+    if len(lengths) > 1:
+        raise ValueError(f"rows disagree on the cluster count: {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+def aggregate_rows(rows, *, failures=0):
+    """Exact mean/STD aggregation of trial rows.
+
+    The cluster count is the length of the rows' per-cluster tuples,
+    which must agree. Sums use ``math.fsum``, which is correctly rounded,
+    so the summary is invariant under permutations of the rows.
+    """
+    if not rows:
+        raise ValueError("cannot aggregate zero successful trials")
+    n = len(rows)
+    _cluster_count(rows)  # the rows must agree on it
+    mean = math.fsum(r.nmse for r in rows) / n
+    var = math.fsum((r.nmse - mean) ** 2 for r in rows) / n
+    samples = zip(*[r.samples_per_cluster for r in rows])
+    cuts = zip(*[r.cut_per_cluster for r in rows])
+    return TrialSummary(
+        mean_nmse=mean,
+        std_nmse=math.sqrt(var),
+        per_cluster_mean_samples=tuple(math.fsum(c) / n for c in samples),
+        per_cluster_mean_cut=tuple(math.fsum(c) / n for c in cuts),
+        failures=failures,
+    )
+
+
+def run_sweep(base, walks, workers=1):
+    """Run the base spec's trials once per walk configuration.
+
+    Returns one ``(spec, rows, failures)`` tuple per entry of ``walks``;
+    :func:`aggregate_rows` summarizes each. Variant ``i`` draws from the
+    stream block ``base.master_seed.substream(i << 32)``; block 0 is the
+    base stream, so ``run_sweep(spec, [spec.walk])`` runs exactly
+    ``spec``'s trials. Row ``i`` equals ``run_trial(spec, i)`` whatever
+    the chunks and workers; trials whose sampling budget is unreachable
+    are counted in ``failures`` and leave a gap in the indices. Rows come
+    in trial-index order. The pool holds at most one of the ``workers``
+    processes per chunk of at most ``_CHUNK_TRIALS`` trials.
+    """
     workers = _check_workers(workers)
+    specs = [
+        replace(base, walk=walk, master_seed=base.master_seed.substream(i << 32))
+        for i, walk in enumerate(walks)
+    ]
     jobs = [(s, spec, i) for s, spec in enumerate(specs) for i in range(spec.runs)]
     # with a pool, smaller chunks so that every worker gets some
     size = max(1, min(_CHUNK_TRIALS, -(-len(jobs) // workers)))
@@ -200,66 +244,7 @@ def _run_specs(specs, workers):
     for chunk in results:
         for s, row in chunk:
             rows[s].append(row)
-    return [(done, spec.runs - len(done)) for spec, done in zip(specs, rows)]
-
-
-def run_trials(spec, workers=1):
-    """Run all trials of a spec; returns ``(rows, failures)``.
-
-    Trials whose sampling budget is unreachable are counted in
-    ``failures`` and omitted from ``rows`` (their indices are skipped, so
-    the gap stays visible in per-trial dumps). Rows come back ordered by
-    trial index regardless of worker scheduling. The pool holds at most
-    ``spec.runs`` of the ``workers >= 1`` processes.
-    """
-    return _run_specs([spec], workers)[0]
-
-
-def aggregate_rows(rows, *, failures=0):
-    """Exact mean/STD aggregation of trial rows.
-
-    The cluster count is the length of the rows' per-cluster tuples. Sums
-    use ``math.fsum``, which is correctly rounded, so the summary is
-    invariant under permutations of the rows.
-    """
-    if not rows:
-        raise ValueError("cannot aggregate zero successful trials")
-    n = len(rows)
-    cluster_count = len(rows[0].samples_per_cluster)
-    mean = math.fsum(r.nmse for r in rows) / n
-    var = math.fsum((r.nmse - mean) ** 2 for r in rows) / n
-    mean_samples = tuple(
-        math.fsum(r.samples_per_cluster[c] for r in rows) / n
-        for c in range(cluster_count)
-    )
-    mean_cut = tuple(
-        math.fsum(r.cut_per_cluster[c] for r in rows) / n
-        for c in range(cluster_count)
-    )
-    return TrialSummary(
-        mean_nmse=mean,
-        std_nmse=math.sqrt(var),
-        per_cluster_mean_samples=mean_samples,
-        per_cluster_mean_cut=mean_cut,
-        failures=failures,
-    )
-
-
-def run_sweep(base, walks, workers=1):
-    """Run the base spec once per walk configuration.
-
-    Returns one ``(spec, rows, failures)`` tuple per entry of ``walks``;
-    :func:`aggregate_rows` summarizes each. Variant ``i`` draws from the
-    stream block ``base.master_seed.substream(i << 32)``. Trials of all
-    variants are solved together in batches, with the same results as
-    one at a time.
-    """
-    specs = [
-        replace(base, walk=walk, master_seed=base.master_seed.substream(i << 32))
-        for i, walk in enumerate(walks)
-    ]
-    results = _run_specs(specs, workers)
-    return [(spec, rows, failures) for spec, (rows, failures) in zip(specs, results)]
+    return [(spec, done, spec.runs - len(done)) for spec, done in zip(specs, rows)]
 
 
 def _trials_header(cluster_count):
@@ -270,10 +255,11 @@ def _trials_header(cluster_count):
     )
 
 
-def write_trials_csv(fh, rows, cluster_count):
-    """Per-trial dump; floats are written with shortest round-trip precision."""
+def write_trials_csv(fh, rows):
+    """Per-trial dump, with as many clusters as the rows' tuples hold (none
+    for no rows); floats are written with shortest round-trip precision."""
     writer = csv.writer(fh)
-    writer.writerow(_trials_header(cluster_count))
+    writer.writerow(_trials_header(_cluster_count(rows)))
     for r in rows:
         writer.writerow(
             [r.index, float(r.nmse), *r.samples_per_cluster, *r.cut_per_cluster]

@@ -69,7 +69,7 @@ def test_generate_appm_require_connected_impossible_exits_2(tmp_path):
     assert not gp.exists()
 
 
-@pytest.mark.parametrize("sizes", ["1,x", ","])
+@pytest.mark.parametrize("sizes", ["1,x", ",", "1_0,20", "10,\uff120"])
 def test_generate_appm_malformed_sizes_exits_1_with_error_line(tmp_path, sizes):
     proc = run_cli(
         "generate-appm", f"--sizes={sizes}", "--p", "0.5", "--q", "0.1",
@@ -77,6 +77,43 @@ def test_generate_appm_malformed_sizes_exits_1_with_error_line(tmp_path, sizes):
         "--out-partition", tmp_path / "p.csv", "--out-signal", tmp_path / "x.csv",
     )
     assert_one_error_line(proc)
+
+
+# arguments that parse for each command; the option under test comes last,
+# so it overrides an earlier value of the same option
+NUMERIC_OPTION_COMMANDS = {
+    "generate-appm": [
+        "--sizes", "3,3", "--p", "0.5", "--q", "0.1", "--out-graph", "g.txt",
+        "--out-partition", "p.csv", "--out-signal", "x.csv",
+    ],
+    "sample": ["--graph", "g.txt", "--method", "walk", "--budget", "2", "--out", "m.csv"],
+    "recover": [
+        "--graph", "g.txt", "--samples", "m.csv", "--signal", "x.csv", "--out", "y.csv"
+    ],
+    "experiment": ["clusterstats", "--out-dir", "out"],
+    "extract-subgraph": ["--graph", "g.txt", "--walk-length", "3", "--out", "s.txt"],
+}
+INTEGER_OPTIONS = [
+    ("generate-appm", "--seed"), ("sample", "--budget"), ("sample", "--walk-length"),
+    ("sample", "--seed"), ("recover", "--max-iter"), ("experiment", "--runs"),
+    ("experiment", "--seed"), ("experiment", "--workers"),
+    ("extract-subgraph", "--walk-length"), ("extract-subgraph", "--seed"),
+]
+FLOAT_OPTIONS = [("generate-appm", "--p"), ("generate-appm", "--q"), ("recover", "--tol")]
+
+
+@pytest.mark.parametrize(
+    "command, option, value, kind",
+    [(c, o, v, "integer") for c, o in INTEGER_OPTIONS for v in ("1_0", "\uff13")]
+    + [(c, o, v, "float") for c, o in FLOAT_OPTIONS for v in ("0_5", "\uff10.5")],
+)
+def test_numeric_options_follow_the_file_grammar(
+    tmp_path, monkeypatch, capsys, command, option, value, kind
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *NUMERIC_OPTION_COMMANDS[command], option, value]) == 1
+    assert f"argument {option}: non-{kind} field {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_atomic_write_failure_leaves_target_unchanged(tmp_path):

@@ -3,7 +3,6 @@ import math
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import rwtv.experiments
@@ -17,7 +16,6 @@ from rwtv.experiments import (
     read_trials_csv,
     run_sweep,
     run_trial,
-    run_trials,
     write_trials_csv,
 )
 
@@ -34,18 +32,12 @@ def small_spec(runs=4, budget=5, length=6, seed=0):
 
 def test_trial_is_deterministic():
     spec = small_spec()
-    e1, counts1, cuts1 = run_trial(spec, 2)
-    e2, counts2, cuts2 = run_trial(spec, 2)
-    assert e1 == e2
-    assert np.array_equal(counts1, counts2)
-    assert np.array_equal(cuts1, cuts2)
+    assert run_trial(spec, 2) == run_trial(spec, 2)
 
 
 def test_distinct_trials_differ():
     spec = small_spec()
-    e1, _, _ = run_trial(spec, 0)
-    e2, _, _ = run_trial(spec, 1)
-    assert e1 != e2
+    assert run_trial(spec, 0).nmse != run_trial(spec, 1).nmse
 
 
 def test_full_budget_gives_zero_error():
@@ -56,16 +48,15 @@ def test_full_budget_gives_zero_error():
         runs=1,
         master_seed=RngSeed(3),
     )
-    error, counts, _ = run_trial(spec, 0)
-    assert error == 0.0
-    assert counts.tolist() == [3, 3]
+    row = run_trial(spec, 0)
+    assert row.nmse == 0.0
+    assert row.samples_per_cluster == (3, 3)
 
 
 def test_counts_sum_to_budget():
     spec = small_spec(runs=6)
     for t in range(spec.runs):
-        _, counts, _ = run_trial(spec, t)
-        assert counts.sum() == spec.walk.budget
+        assert sum(run_trial(spec, t).samples_per_cluster) == spec.walk.budget
 
 
 def test_budget_above_nodes_rejected():
@@ -74,7 +65,8 @@ def test_budget_above_nodes_rejected():
 
 
 def test_aggregate_matches_manual_recompute():
-    rows, failures = run_trials(small_spec(runs=8))
+    spec = small_spec(runs=8)
+    _, rows, failures = run_sweep(spec, [spec.walk])[0]
     assert failures == 0
     summary = aggregate_rows(rows, failures=failures)
     values = [r.nmse for r in rows]
@@ -89,7 +81,8 @@ def test_aggregate_matches_manual_recompute():
 
 
 def test_aggregate_is_permutation_invariant():
-    rows, _ = run_trials(small_spec(runs=10))
+    spec = small_spec(runs=10)
+    _, rows, _ = run_sweep(spec, [spec.walk])[0]
     shuffled = rows[:]
     random.Random(5).shuffle(shuffled)
     assert aggregate_rows(rows) == aggregate_rows(shuffled)
@@ -119,13 +112,35 @@ def test_aggregate_reads_cluster_count_from_rows():
 
 
 def test_trials_csv_round_trips_exactly():
-    rows, failures = run_trials(small_spec(runs=5))
+    spec = small_spec(runs=5)
+    _, rows, failures = run_sweep(spec, [spec.walk])[0]
     buf = io.StringIO()
-    write_trials_csv(buf, rows, 2)
+    write_trials_csv(buf, rows)
     buf.seek(0)
     again = read_trials_csv(buf)
     assert again == rows
     assert aggregate_rows(again, failures=failures) == aggregate_rows(rows, failures=failures)
+
+
+def test_trials_csv_with_no_rows_round_trips():
+    buf = io.StringIO()
+    write_trials_csv(buf, [])
+    assert buf.getvalue() == "trial_index,nmse\r\n"
+    buf.seek(0)
+    assert read_trials_csv(buf) == []
+
+
+@pytest.mark.parametrize(
+    "consume", [aggregate_rows, lambda rows: write_trials_csv(io.StringIO(), rows)]
+)
+@pytest.mark.parametrize(
+    "second",
+    [TrialRow(1, 0.25, (1, 2, 3), (4, 5, 6)), TrialRow(1, 0.25, (1, 2), (4, 5, 6))],
+)
+def test_rows_that_disagree_on_the_cluster_count_are_rejected(consume, second):
+    rows = [TrialRow(0, 0.5, (1, 2), (3, 4)), second]
+    with pytest.raises(ValueError, match="rows disagree on the cluster count"):
+        consume(rows)
 
 
 TRIALS_HEADER = "trial_index,nmse,samples_c0,cut_c0\n"
@@ -150,19 +165,20 @@ def test_read_trials_csv_rejects_malformed_files(text, message):
 
 def test_workers_do_not_change_results():
     spec = small_spec(runs=6)
-    seq_rows, seq_fail = run_trials(spec, workers=1)
-    par_rows, par_fail = run_trials(spec, workers=2)
+    _, seq_rows, seq_fail = run_sweep(spec, [spec.walk], workers=1)[0]
+    _, par_rows, par_fail = run_sweep(spec, [spec.walk], workers=2)[0]
     assert seq_rows == par_rows
     assert seq_fail == par_fail
 
 
 @pytest.mark.parametrize("workers", [0, -2])
-def test_run_trials_rejects_workers_below_one(workers):
+def test_run_sweep_rejects_workers_below_one(workers):
+    spec = small_spec(runs=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        run_trials(small_spec(runs=2), workers=workers)
+        run_sweep(spec, [spec.walk], workers=workers)
 
 
-def test_run_trials_pool_never_exceeds_runs(monkeypatch):
+def test_run_sweep_pool_never_exceeds_runs(monkeypatch):
     sizes = []
 
     class RecordingPool:
@@ -180,9 +196,12 @@ def test_run_trials_pool_never_exceeds_runs(monkeypatch):
 
     monkeypatch.setattr(rwtv.experiments, "ProcessPoolExecutor", RecordingPool)
     spec = small_spec(runs=3)
-    assert run_trials(spec, workers=64) == run_trials(spec, workers=1)
-    assert run_trials(replace(spec, runs=1), workers=64)[1] == 0
-    assert run_trials(spec, workers=2)[1] == 0
+    one = replace(spec, runs=1)
+    assert run_sweep(spec, [spec.walk], workers=64) == run_sweep(
+        spec, [spec.walk], workers=1
+    )
+    assert run_sweep(one, [one.walk], workers=64)[0][2] == 0
+    assert run_sweep(spec, [spec.walk], workers=2)[0][2] == 0
     assert sizes == [3, 2]
 
 
@@ -197,7 +216,8 @@ def test_failed_trials_recorded_and_excluded(monkeypatch):
         return real(g, cfg, gen)
 
     monkeypatch.setattr(rwtv.experiments, "random_walk_sampling", flaky)
-    rows, failures = run_trials(small_spec(runs=4))
+    spec = small_spec(runs=4)
+    _, rows, failures = run_sweep(spec, [spec.walk])[0]
     assert failures == 1
     assert [r.index for r in rows] == [0, 2, 3]
 
@@ -209,7 +229,8 @@ def test_sweep_with_every_budget_unreachable_returns_no_rows(monkeypatch, worker
 
     monkeypatch.setattr(rwtv.experiments, "random_walk_sampling", unreachable)
     monkeypatch.setattr(rwtv.experiments, "ProcessPoolExecutor", InProcessPool)
-    assert run_trials(small_spec(runs=3), workers=workers) == ([], 3)
+    spec = small_spec(runs=3)
+    assert run_sweep(spec, [spec.walk], workers=workers) == [(spec, [], 3)]
 
 
 class InProcessPool:
@@ -259,12 +280,35 @@ def test_sweep_chunks_with_unreachable_budget_match_single_trials(monkeypatch):
         single = []
         for i in range(spec.runs):
             try:
-                error, counts, cuts = run_trial(spec, i)
+                single.append(run_trial(spec, i))
             except SamplingBudgetError:
                 continue
-            single.append(TrialRow(i, error, tuple(counts), tuple(cuts)))
         assert rows == single
         assert failures == spec.runs - len(single)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_of_the_specs_own_walk_runs_its_trials(monkeypatch, workers):
+    real = rwtv.experiments.random_walk_sampling
+
+    def flaky(g, cfg, gen):
+        if g.edge_count % 3 == 0:
+            raise SamplingBudgetError("sampling budget unreachable")
+        return real(g, cfg, gen)
+
+    monkeypatch.setattr(rwtv.experiments, "random_walk_sampling", flaky)
+    monkeypatch.setattr(rwtv.experiments, "ProcessPoolExecutor", InProcessPool)
+    spec = small_spec(runs=8)
+    single = []
+    for i in range(spec.runs):
+        try:
+            single.append(run_trial(spec, i))
+        except SamplingBudgetError:
+            continue
+    assert 0 < len(single) < spec.runs
+    assert run_sweep(spec, [spec.walk], workers=workers) == [
+        (spec, single, spec.runs - len(single))
+    ]
 
 
 def test_run_table1_shapes_and_reproducibility():
@@ -313,7 +357,7 @@ def test_run_sweep_variant_streams():
             base, walk=walk, master_seed=base.master_seed.substream(i << 32)
         )
         assert spec == expected
-        assert (rows, failures) == run_trials(expected)
+        assert run_sweep(expected, [walk]) == [(expected, rows, failures)]
 
 
 def test_benchmark_spec_defaults():
