@@ -88,12 +88,9 @@ _INT, _FLOAT = partial(_number, _int_field), partial(_number, _float_field)
 
 def _parse_sizes(text):
     try:
-        sizes = tuple(_int_field(tok) for tok in text.split(",") if tok.strip())
+        return tuple(_int_field(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"--sizes must be comma-separated integers, got {text!r}")
-    if not sizes:
-        raise ValueError("--sizes must list at least one cluster size")
-    return sizes
 
 
 def _cmd_generate_appm(args):

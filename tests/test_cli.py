@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from rwtv.fileio import (
     write_sampling,
     write_signal,
 )
+
+from reference_edge_list import reference_parse
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_bridge_instance(tmp_path, sampled_nodes):
@@ -69,7 +74,9 @@ def test_generate_appm_require_connected_impossible_exits_2(tmp_path):
     assert not gp.exists()
 
 
-@pytest.mark.parametrize("sizes", ["1,x", ",", "1_0,20", "10,\uff120"])
+@pytest.mark.parametrize(
+    "sizes", ["1,x", ",", "1_0,20", "10,\uff120", "3,,3", "3,3,", ",3"]
+)
 def test_generate_appm_malformed_sizes_exits_1_with_error_line(tmp_path, sizes):
     proc = run_cli(
         "generate-appm", f"--sizes={sizes}", "--p", "0.5", "--q", "0.1",
@@ -470,6 +477,66 @@ def test_seeded_table2_files_are_pinned(tmp_path, capsys):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
     }
     assert digests == PINNED_TABLE2_FILES
+
+
+# SHA-256 of every file that `extract-subgraph --out-map`, `sample --method
+# walk` and `recover` write on the co-purchase fixture, keyed by whether
+# --drop-isolated is set (two fixture nodes appear only in self-loop lines).
+# Recorded with the same numpy build as PINNED_EXPERIMENT_FILES.
+PINNED_PIPELINE_FILES = {
+    False: {
+        "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
+        "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
+        "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
+        "xhat.csv": "44aa93f1cd0442e5a291a512f330d1e3d07e0321904b6f8d23585bf6d88b5e42",
+    },
+    True: {
+        "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
+        "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
+        "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
+        "xhat.csv": "62ba43cb401f681d0e8d345165688ba6ea6747929e7b48ddb464bf3911e0b89a",
+    },
+}
+
+
+@pytest.mark.parametrize("drop_isolated", sorted(PINNED_PIPELINE_FILES))
+def test_seeded_pipeline_files_are_pinned(tmp_path, capsys, drop_isolated):
+    fixture = DATA / "copurchase_graph.txt"
+    graph = ["--graph", str(fixture)] + ["--drop-isolated"] * drop_isolated
+    _, _, id_map = reference_parse(fixture.read_text(), drop_isolated)
+    ratings = dict(
+        line.split(",")
+        for line in (DATA / "copurchase_ratings.csv").read_text().split()[1:]
+    )
+    # the truth signal in the graph's dense ids
+    (tmp_path / "x.csv").write_text(
+        "node_id,value\n"
+        + "".join(f"{d},{ratings[str(e)]}\n" for e, d in id_map.items())
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = [
+        [
+            "extract-subgraph", *graph, "--walk-length", "400", "--seed", "1",
+            "--out", out / "sub.txt", "--out-map", out / "map.csv",
+        ],
+        [
+            "sample", *graph, "--method", "walk", "--budget", "100",
+            "--walk-length", "20", "--seed", "1", "--out", out / "m.csv",
+        ],
+        [
+            "recover", *graph, "--samples", out / "m.csv", "--signal",
+            tmp_path / "x.csv", "--max-iter", "5000", "--tol", "1e-5",
+            "--out", out / "xhat.csv",
+        ],
+    ]
+    for argv in commands:
+        assert main(list(map(str, argv))) == 0
+    capsys.readouterr()
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+    }
+    assert digests == PINNED_PIPELINE_FILES[drop_isolated]
 
 
 def test_extract_subgraph_writes_map_back_to_source_ids(tmp_path, capsys):

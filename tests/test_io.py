@@ -1,5 +1,6 @@
 import io
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from rwtv.fileio import (
     write_sampling,
     write_signal,
 )
+
+from reference_edge_list import reference_parse
 
 
 def parse(text, **kwargs):
@@ -91,6 +94,93 @@ def test_parse_empty_file_rejected():
         parse("")
     with pytest.raises(ValueError, match="empty"):
         parse("# only a comment\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["# only\n# comments\n", "  # indented\n#\r\n", "\n \t\n\r\n", "\t"]
+)
+def test_parse_comment_or_blank_only_file_is_empty_without_warnings(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^empty edge list: no usable nodes$"):
+            parse(text)
+
+
+def test_parse_data_after_many_comment_lines():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, id_map = parse("# header\n" * 150 + "\n  # indented\n9 8\n8 7\n")
+    assert id_map == {7: 0, 8: 1, 9: 2}
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 2 # why", "expected two node ids, got '1 2 # why'"),
+        ("1 # 2", "expected two node ids, got '1 # 2'"),
+        ("1 2#", "non-integer node id in '1 2#'"),
+    ],
+)
+def test_parse_hash_after_text_is_an_error(line, message):
+    # "#" opens a comment only as the first non-blank character of a line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            parse(f"# ok\n  # ok # too\n{line}\n0 1\n")
+    assert str(info.value) == f"line 3: {message}"
+
+
+BLANKS = st.text(st.sampled_from(" \t"), max_size=2)
+NODE_IDS = st.one_of(
+    # a small pool, so self-loops, duplicates and reversed duplicates occur
+    st.integers(0, 6).map(str),
+    st.sampled_from(["+3", "-0", "+0", "007", str(2**63 - 1)]),
+    st.integers(0, 2**63 - 1).map(str),
+)
+PAIR_LINES = st.tuples(
+    BLANKS, NODE_IDS, st.sampled_from([" ", "\t", " \t "]), NODE_IDS, BLANKS
+).map("".join)
+COMMENT_LINES = st.tuples(
+    BLANKS, st.text(st.sampled_from("ab #\t0"), max_size=4)
+).map(lambda t: f"{t[0]}#{t[1]}")
+BAD_LINES = st.one_of(
+    NODE_IDS,
+    st.tuples(PAIR_LINES, st.sampled_from([" 5", " # c", "#"])).map("".join),
+    st.tuples(
+        NODE_IDS,
+        st.sampled_from(
+            [" -5", " 1.0", " x", " 1_0", f" {2**63}", " 1" + "0" * 30, " \uff13"]
+        ),
+    ).map("".join),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(st.one_of(PAIR_LINES, COMMENT_LINES, BLANKS), max_size=10))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINES))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@given(edge_list_texts(), st.booleans())
+def test_parse_matches_line_by_line_reference(text, drop_isolated):
+    try:
+        node_count, edges, id_map = reference_parse(text, drop_isolated)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            parse(text, drop_isolated=drop_isolated)
+        assert str(info.value) == str(exc)
+        return
+    g, got_map = parse(text, drop_isolated=drop_isolated)
+    assert g.node_count == node_count
+    assert g.edges.tolist() == edges
+    assert list(got_map.items()) == list(id_map.items())
 
 
 def test_parse_drops_self_loops_with_warning(caplog):
