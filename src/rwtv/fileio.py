@@ -67,7 +67,7 @@ def parse_edge_list(fh, drop_isolated=False):
     of it kept by the returned graph and map.
     """
     # the text is freed once its pairs are parsed
-    pairs = _read_pairs(fh.read())
+    pairs = _read_pairs(_translate_line_ends(fh.read()))
     loop = pairs[:, 0] == pairs[:, 1]
     if loop.any():
         log.warning(
@@ -86,6 +86,15 @@ def parse_edge_list(fh, drop_isolated=False):
         edges = np.compress(~loop, edges, axis=0)
     id_map = dict(zip(ext.tolist(), range(ext.size)))
     return Graph(ext.size, edges), id_map
+
+
+def _translate_line_ends(text):
+    """``text`` with each ``\\r\\n`` and each lone ``\\r`` turned into ``\\n``,
+    as reading in text mode does, for text read without that translation
+    (an ``io.StringIO``, or a file opened with ``newline=""``)."""
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_pairs(text):

@@ -7,16 +7,40 @@ family, known in this setting as sparse label propagation): a dual edge
 variable is updated through the incidence operator and projected onto
 the unit box, the primal node variable takes a gradient step through the
 adjoint and is then overwritten with the observations on sampled nodes,
-and an over-relaxed copy feeds the next dual step. The reported solution
-is the running average of the primal iterates.
+and an over-relaxed copy feeds the next dual step.
+
+:class:`SlpConfig` selects one of two rules for steps, stop and output.
+
+- The paper rule (``gap_tol == 0``) takes one step size per graph, stops
+  when the running average of the primal iterates changes little, and
+  returns that average.
+- The certified rule (``gap_tol > 0``) takes diagonal steps (Pock and
+  Chambolle, ICCV 2011: ``1 / degree`` per node, ``1 / 2`` per edge) and
+  also keeps a running average of the dual iterates. Every 10
+  iterations it bounds the optimum from below with the last and the
+  averaged dual, and stops once the smaller total variation of the last
+  and the averaged primal iterate is within ``gap_tol`` of the larger
+  bound; it returns that iterate. At the same checks it
+  restarts the iteration from the primal-dual pair with the smaller gap,
+  by the rules of PDLP (Applegate et al., NeurIPS 2021).
+
+The bound needs no projection of the dual. Clipping a signal to
+``[lo, hi]``, the smallest and largest observed values, raises no edge
+difference, so some minimizer lies in that box. Hence for any edge
+signal ``y`` in the unit box, with ``r`` its image under the adjoint of
+the incidence map, the optimum is at least
+``sum_{i in M} obs_i r_i + sum_{i not in M} min(lo r_i, hi r_i)``.
+Under either rule :class:`SlpResult` reports this bound and the relative
+gap of the returned signal; the paper rule computes it once, at the stop,
+from the last dual.
 
 One loop solves one problem or many. Many problems are solved as their
 disjoint union: node and edge ids are offset per problem, each problem's
-step size fills its own nodes and edges, and each problem stops on its own
-by the rule of :class:`SlpConfig`, with its norms summed over its own node
-range. Every update is elementwise or sums within one problem in the same
-order as a lone solve, so each problem's result is bit-identical to
-solving it alone. When a problem stops, its average is copied out and the
+steps fill its own nodes and edges, and each problem stops and restarts
+on its own, with its sums taken over its own contiguous node and edge
+ranges. Every update is elementwise or sums within one problem in the
+same order as a lone solve, so each problem's result is bit-identical to
+solving it alone. When a problem stops, its output is copied out and the
 union of the problems still running is laid out afresh from their own
 arrays, carrying over only their iterates, so they run on smaller arrays.
 :func:`slp_recover` is a batch of one.
@@ -33,41 +57,66 @@ from .graph import _check_signal
 
 __all__ = ["SlpConfig", "SlpResult", "clip", "slp_recover", "nmse"]
 
+# Iterations between two gap checks of the certified rule.
+_CHECK_EVERY = 10
+# PDLP's restart constants: a restart when the gap fell to 0.2 of the gap
+# at the last restart, or to 0.8 of it and rose since the previous check,
+# or when the iterations since the last restart reach 0.36 of all run.
+_SUFFICIENT, _NECESSARY, _ARTIFICIAL = 0.2, 0.8, 0.36
+# The relative gap divides by max(TV, _GAP_FLOOR * max |observed value|),
+# so that a problem whose optimum is 0 (one sample, or all samples equal)
+# stops by the gap too.
+_GAP_FLOOR = 1e-6
+# Diagonal primal step of a node without edges. Its gradient is always 0,
+# so any finite value leaves it at its start (0) or its observation.
+_ISOLATED_STEP = 1.0
+
 
 @dataclass(frozen=True)
 class SlpConfig:
     """Stopping parameters for the primal-dual recovery iteration.
 
-    The iteration stops after ``max_iterations`` steps, or as soon as the
-    relative change of the averaged iterate between consecutive steps,
-    ``norm(avg_k - avg_{k-1}) / max(norm(avg_k), 1e-12)``, falls below
-    ``rel_change_tol``. The average is the declared output, so convergence
-    is measured on it.
+    The iteration stops after ``max_iterations`` steps at the latest.
+    With ``gap_tol == 0`` (the default) it follows the paper's rule and
+    stops as soon as the relative change of the averaged iterate between
+    consecutive steps, ``norm(avg_k - avg_{k-1}) / max(norm(avg_k),
+    1e-12)``, falls below ``rel_change_tol``. With ``gap_tol > 0`` it
+    follows the certified rule and stops as soon as the certified
+    relative duality gap is at most ``gap_tol``; ``rel_change_tol`` is
+    then unused.
     """
 
     max_iterations: int = 50000
     rel_change_tol: float = 1e-7
+    gap_tol: float = 0.0
 
     def __post_init__(self):
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        tol = float(self.rel_change_tol)
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError("rel_change_tol must be finite and >= 0")
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        object.__setattr__(self, "rel_change_tol", tol)
+        for name in ("rel_change_tol", "gap_tol"):
+            tol = float(getattr(self, name))
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
+            object.__setattr__(self, name, tol)
 
 
 @dataclass(frozen=True, eq=False)
 class SlpResult:
-    """Recovered signal and the number of iterations run.
+    """Recovered signal, the number of iterations run, and its certificate.
 
     The recovered signal equals the observed samples on the sampling set
-    exactly.
+    exactly. ``lower_bound`` is a lower bound on the optimal total
+    variation, from a dual iterate, and ``gap`` is the certified relative
+    gap of the recovered signal: its total variation minus the bound,
+    divided by the larger of that total variation and ``1e-6`` times the
+    largest absolute observed value (0 when both are 0).
     """
 
     recovered: np.ndarray
     iterations_run: int
+    gap: float
+    lower_bound: float
 
 
 def clip(y):
@@ -92,24 +141,37 @@ def slp_recover(g, m, samples, cfg=None):
     Returns
     -------
     SlpResult
-        The averaged primal iterate and the number of iterations run.
+        The recovered signal, the number of iterations run, and the
+        certified gap and lower bound.
 
     Notes
     -----
-    Both step sizes are ``1 / (2 sqrt(d_max))`` with ``d_max`` the maximum
-    node degree; since the squared operator norm of the incidence map is
-    at most ``2 d_max``, the product of the step sizes stays below the
-    stability threshold. The iteration is deterministic. When the
+    Under the paper rule both step sizes are ``1 / (2 sqrt(d_max))`` with
+    ``d_max`` the maximum node degree; since the squared operator norm of
+    the incidence map is at most ``2 d_max``, the product of the step
+    sizes stays below the stability threshold. The certified rule's
+    diagonal steps meet the condition of Pock and Chambolle's diagonal
+    preconditioning instead. The iteration is deterministic. When the
     recovery condition fails the minimizer may be non-unique; the solver
     then returns whatever the iteration converges to.
 
-    The running average is maintained incrementally
+    Running averages are maintained incrementally
     (``avg += (x - avg) / k``), which keeps the accumulator at signal
     magnitude over long runs and keeps the sampled entries exactly equal
     to the observations.
     """
     cfg = SlpConfig() if cfg is None else cfg
     return _recover_batch([(g, m, samples)], cfg)[0]
+
+
+def _steps(g, certified):
+    """Per-node and per-edge step sizes of one problem."""
+    if not certified:
+        step = 0.5 / math.sqrt(g.max_degree)
+        return np.full(g.node_count, step), np.full(g.edge_count, step)
+    deg = g.degrees
+    step_x = np.divide(1.0, deg, out=np.full(deg.size, _ISOLATED_STEP), where=deg > 0)
+    return step_x, np.full(g.edge_count, 0.5)
 
 
 def _recover_batch(problems, cfg):
@@ -127,27 +189,47 @@ def _recover_batch(problems, cfg):
             raise ValueError("sampling set must be nonempty")
         m.mask(g.node_count)
         values.append(_check_signal(samples, len(m), "sample values"))
-    steps = np.array([0.5 / math.sqrt(g.max_degree) for g, _, _ in problems])
+    certified = cfg.gap_tol > 0.0
+    steps = [_steps(g, certified) for g, _, _ in problems]
+    lo = np.array([v.min() for v in values])
+    hi = np.array([v.max() for v in values])
+    floor = _GAP_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
+    # per problem: the iteration of its last restart, its gap then, and its
+    # gap at the previous check since (inf right after a restart)
+    start = np.zeros(len(problems), dtype=np.int64)
+    restart_gap = np.full(len(problems), np.inf)
+    last_gap = np.full(len(problems), np.inf)
     ids = np.arange(len(problems))
     results = [None] * len(problems)
     x, z, avg = np.zeros((3, sum(g.node_count for g, _, _ in problems)))
-    y = np.zeros(sum(g.edge_count for g, _, _ in problems))
+    y, y_avg = np.zeros((2, sum(g.edge_count for g, _, _ in problems)))
+
+    def certify(v, r):
+        """Each live problem's total variation of the node signal ``v`` and
+        the lower bound from the dual whose adjoint image is ``r``."""
+        tv = np.add.reduceat(np.abs(v[heads] - v[tails]), edge_offsets)
+        t = np.minimum(lo_n * r, hi_n * r)
+        t[nodes] = samples * r[nodes]
+        return tv, np.add.reduceat(t, offsets)
 
     k = 0
     while ids.size:
         # lay out the live problems' disjoint union: the node and edge ids
-        # of each are offset by the nodes before it, and its step fills its
+        # of each are offset by the nodes before it, and its steps fill its
         # own nodes and edges
         live = [problems[b] for b in ids]
         counts = np.array([g.node_count for g, _, _ in live])
         edge_counts = np.array([g.edge_count for g, _, _ in live])
         offsets = np.cumsum(counts) - counts
+        edge_offsets = np.cumsum(edge_counts) - edge_counts
         tails = np.concatenate([g.tails + o for (g, _, _), o in zip(live, offsets)])
         heads = np.concatenate([g.heads + o for (g, _, _), o in zip(live, offsets)])
         nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(live, offsets)])
         samples = np.concatenate([values[b] for b in ids])
-        step_x = np.repeat(steps[ids], counts)
-        step_y = np.repeat(steps[ids], edge_counts)
+        step_x = np.concatenate([steps[b][0] for b in ids])
+        step_y = np.concatenate([steps[b][1] for b in ids])
+        lo_n, hi_n = np.repeat(lo[ids], counts), np.repeat(hi[ids], counts)
+        start_n, start_e = np.repeat(start[ids], counts), np.repeat(start[ids], edge_counts)
         n = x.size
 
         while True:
@@ -161,25 +243,76 @@ def _recover_batch(problems, cfg):
             z = 2.0 * x_next - x
             x = x_next
             k += 1
-            avg, prev = avg + (x - avg) / k, avg
-            # each problem's two norms, summed over its contiguous node range
-            diff = avg - prev
-            change = np.sqrt(np.add.reduceat(diff * diff, offsets))
-            size = np.sqrt(np.add.reduceat(avg * avg, offsets))
-            done = change < cfg.rel_change_tol * np.maximum(size, 1e-12)
+            if not certified:
+                avg, prev = avg + (x - avg) / k, avg
+                # each problem's two norms, summed over its contiguous node range
+                diff = avg - prev
+                change = np.sqrt(np.add.reduceat(diff * diff, offsets))
+                size = np.sqrt(np.add.reduceat(avg * avg, offsets))
+                done = change < cfg.rel_change_tol * np.maximum(size, 1e-12)
+                if k == cfg.max_iterations:
+                    done[:] = True
+                if np.count_nonzero(done):
+                    out = avg
+                    tv, bound = certify(avg, grad)
+                    break
+                continue
+
+            avg += (x - avg) / (k - start_n)
+            y_avg += (y - y_avg) / (k - start_e)
+            if k % _CHECK_EVERY and k != cfg.max_iterations:
+                continue
+            # the last pair's dual image is grad; the averaged one's takes a
+            # bincount pair
+            tv_x, bound_x = certify(x, grad)
+            r = np.bincount(heads, weights=y_avg, minlength=n)
+            r -= np.bincount(tails, weights=y_avg, minlength=n)
+            tv_a, bound_a = certify(avg, r)
+            tv, bound = np.minimum(tv_a, tv_x), np.maximum(bound_a, bound_x)
+            done = tv - bound <= cfg.gap_tol * np.maximum(tv, floor[ids])
             if k == cfg.max_iterations:
                 done[:] = True
+            # restart the others at the pair with the smaller gap of its own
+            gap_a, gap_x = tv_a - bound_a, tv_x - bound_x
+            gap = np.minimum(gap_a, gap_x)
+            restart = ~done & (
+                (gap <= _SUFFICIENT * restart_gap[ids])
+                | ((gap <= _NECESSARY * restart_gap[ids]) & (gap > last_gap[ids]))
+                | (k - start[ids] >= _ARTIFICIAL * k)
+            )
+            last_gap[ids] = np.where(restart, np.inf, gap)
+            if np.count_nonzero(restart):
+                restart_gap[ids[restart]] = gap[restart]
+                start[ids[restart]] = k
+                to_avg = restart & (gap_a < gap_x)
+                x = np.where(np.repeat(to_avg, counts), avg, x)
+                y = np.where(np.repeat(to_avg, edge_counts), y_avg, y)
+                node_reset = np.repeat(restart, counts)
+                z = np.where(node_reset, x, z)
+                avg = np.where(node_reset, x, avg)
+                y_avg = np.where(np.repeat(restart, edge_counts), y, y_avg)
+                start_n = np.repeat(start[ids], counts)
+                start_e = np.repeat(start[ids], edge_counts)
             if np.count_nonzero(done):
+                # a stopped problem's iterates are as they were at its check
+                out = np.where(np.repeat(tv_a <= tv_x, counts), avg, x)
                 break
 
+        den = np.maximum(tv, floor[ids])
+        gaps = np.divide(tv - bound, den, out=np.zeros_like(tv), where=den > 0)
         for b in np.flatnonzero(done):
-            recovered = avg[offsets[b] : offsets[b] + counts[b]].copy()
+            recovered = out[offsets[b] : offsets[b] + counts[b]].copy()
             recovered.setflags(write=False)
-            results[ids[b]] = SlpResult(recovered=recovered, iterations_run=k)
+            results[ids[b]] = SlpResult(
+                recovered=recovered,
+                iterations_run=k,
+                gap=float(gaps[b]),
+                lower_bound=float(bound[b]),
+            )
         # carry the survivors' iterates over to the next layout
-        keep = np.repeat(~done, counts)
+        keep, edge_keep = np.repeat(~done, counts), np.repeat(~done, edge_counts)
         x, z, avg = x[keep], z[keep], avg[keep]
-        y = y[np.repeat(~done, edge_counts)]
+        y, y_avg = y[edge_keep], y_avg[edge_keep]
         ids = ids[~done]
 
     return results

@@ -415,10 +415,32 @@ def test_experiment_clusterstats_outputs(tmp_path, capsys):
     assert "mean NMSE" in capsys.readouterr().out
 
 
+def experiment_digests(tmp_path, capsys, which, runs):
+    """SHA-256 of every file that `experiment WHICH --runs RUNS --seed 1
+    --workers 1` writes, by name."""
+    code = main(
+        [
+            "experiment", which, "--runs", str(runs), "--seed", "1",
+            "--out-dir", str(tmp_path), "--workers", "1",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+
+
+# The paper's stop rule at the settings that the benchmark sweeps used before
+# they moved to the certified rule. The PINNED_EXPERIMENT_FILES and
+# PINNED_TABLE2_FILES digests were recorded under it, and still hold with it
+# patched in, so moving the sweeps changed nothing but the solver.
+PAPER_SLP = SlpConfig(max_iterations=5000, rel_change_tol=1e-5)
+
 # SHA-256 of every file written by `experiment table1|clusterstats --runs 4
-# --seed 1 --workers 1`. Like PINNED_SOLVES in test_slp.py, these hold for
-# the numpy build they were recorded with (2.4.6): bit exactness of seeded
-# draws across numpy versions is not promised.
+# --seed 1 --workers 1` under PAPER_SLP. Like PINNED_SOLVES in test_slp.py,
+# these hold for the numpy build they were recorded with (2.4.6): bit
+# exactness of seeded draws across numpy versions is not promised.
 PINNED_EXPERIMENT_FILES = {
     "table1": {
         "table1_summary.csv": "df3d4652e8de257ae18d6059861809563dc46de048c0457df52b42cca273a683",
@@ -434,26 +456,41 @@ PINNED_EXPERIMENT_FILES = {
     },
 }
 
+# The same files under BENCHMARK_SLP, the certified rule. Only the NMSE
+# columns and the summaries' means and STDs differ from the files above.
+PINNED_CERTIFIED_EXPERIMENT_FILES = {
+    "table1": {
+        "table1_summary.csv": "5aa6aa2f3fdad35f0bec9cc2a0f3fb853fba9e6cb71ec9624d911fb2133a7a15",
+        "table1_trials_budget10.csv": "d977200b7e8c1a7aaf21f9b8e084d933823bed3efddb08073c0fd57832fe244f",
+        "table1_trials_budget20.csv": "44c44165452c2a0797399eef208a40283b6c7869dcb9c829a66be34448e09c86",
+        "table1_trials_budget30.csv": "b0fee65ac93604802c2e74cdc8770e3447cbfcaa9dd5edc685f439b977640abd",
+        "table1_trials_budget40.csv": "b8d76c85b5046c3f05046ce24c0f7d9eeb667cc0da4c10fd3f26b1951b332bfa",
+        "table1_trials_budget50.csv": "6d4a1c1d68c66fd52506085f8147e18ed310042386509e55c7238e1f11f14175",
+    },
+    "clusterstats": {
+        "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
+        "clusterstats_trials.csv": "82f8a0bfee25d00d39cabbb0f6538950a9324300ea729ecd4f1ab82e94f045a2",
+    },
+}
+
 
 @pytest.mark.parametrize("which", sorted(PINNED_EXPERIMENT_FILES))
-def test_seeded_experiment_files_are_pinned(tmp_path, capsys, which):
-    code = main(
-        [
-            "experiment", which, "--runs", "4", "--seed", "1",
-            "--out-dir", str(tmp_path), "--workers", "1",
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
-    }
+def test_seeded_experiment_files_are_pinned(tmp_path, capsys, monkeypatch, which):
+    monkeypatch.setattr("rwtv.experiments.BENCHMARK_SLP", PAPER_SLP)
+    digests = experiment_digests(tmp_path, capsys, which, 4)
     assert digests == PINNED_EXPERIMENT_FILES[which]
 
 
+@pytest.mark.parametrize("which", sorted(PINNED_CERTIFIED_EXPERIMENT_FILES))
+def test_seeded_certified_experiment_files_are_pinned(tmp_path, capsys, which):
+    digests = experiment_digests(tmp_path, capsys, which, 4)
+    assert digests == PINNED_CERTIFIED_EXPERIMENT_FILES[which]
+
+
 # SHA-256 of every file written by `experiment table2 --runs 2 --seed 1
-# --workers 1`: walks of length 20..320, where the walker does most of the
-# drawing. Recorded with the same numpy build as PINNED_EXPERIMENT_FILES.
+# --workers 1` under PAPER_SLP: walks of length 20..320, where the walker
+# does most of the drawing. Recorded with the same numpy build as
+# PINNED_EXPERIMENT_FILES.
 PINNED_TABLE2_FILES = {
     "table2_summary.csv": "da1f3c936e48fc3f0922b4e2d1c8ac973223a7d3a296711285c71b025eef56f5",
     "table2_trials_walk_length20.csv": "2884a469c69d784a62191e0b242147f870028e859d1ea6abd901713f5f583577",
@@ -463,20 +500,25 @@ PINNED_TABLE2_FILES = {
     "table2_trials_walk_length320.csv": "f86101914e24979390342c00f715fc10fef8e0f4ab3658f34a1209a3f4f16d08",
 }
 
+# The same files under BENCHMARK_SLP.
+PINNED_CERTIFIED_TABLE2_FILES = {
+    "table2_summary.csv": "604170986c48d75c068619ca7a20a8d2ab4fd4e2421108b04e62ab4974f03c02",
+    "table2_trials_walk_length20.csv": "e772c72268574e110b0bb78a4a9ce4dfde11aacfbc023651441e7026bc1824e2",
+    "table2_trials_walk_length40.csv": "13af9e59ad6bbffceeeb1e55c2db320bd9f34d22a7a59c773e5a3e05a8c11c46",
+    "table2_trials_walk_length80.csv": "8f2a65569269ab0ac91a26de2c03cee6f068caa22575686f2799a8c6a6796eff",
+    "table2_trials_walk_length160.csv": "656d6b69e9137560c1d2ee58aeff61678d6fdcd184c89018eeae5ca88c968e5c",
+    "table2_trials_walk_length320.csv": "8f0fc7b6a39a6e39a856ecb5b0dcd8354ba9ca377d4a99745e928b8c81989ef1",
+}
 
-def test_seeded_table2_files_are_pinned(tmp_path, capsys):
-    code = main(
-        [
-            "experiment", "table2", "--runs", "2", "--seed", "1",
-            "--out-dir", str(tmp_path), "--workers", "1",
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    digests = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
-    }
-    assert digests == PINNED_TABLE2_FILES
+
+def test_seeded_table2_files_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rwtv.experiments.BENCHMARK_SLP", PAPER_SLP)
+    assert experiment_digests(tmp_path, capsys, "table2", 2) == PINNED_TABLE2_FILES
+
+
+def test_seeded_certified_table2_files_are_pinned(tmp_path, capsys):
+    digests = experiment_digests(tmp_path, capsys, "table2", 2)
+    assert digests == PINNED_CERTIFIED_TABLE2_FILES
 
 
 # SHA-256 of every file that `extract-subgraph --out-map`, `sample --method

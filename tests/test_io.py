@@ -89,6 +89,18 @@ def test_parse_tabs_and_crlf():
         assert id_map == {5: 0, 7: 1, 9: 2}
 
 
+@pytest.mark.parametrize("text", ["0 1\n \r \n", "\r# c\n0 1\n", "0 1\r1 2\n"])
+def test_parse_lone_cr_as_text_mode_reads_it(tmp_path, text):
+    # a lone CR ends a line in text mode; untranslated text parses the same
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        expected, expected_map = parse_edge_list(fh)
+    g, id_map = parse(text)
+    assert g == expected
+    assert id_map == expected_map
+
+
 def test_parse_empty_file_rejected():
     with pytest.raises(ValueError, match="empty"):
         parse("")

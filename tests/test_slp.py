@@ -26,8 +26,8 @@ from rwtv import (
     uniform_sampling,
 )
 from rwtv.experiments import BENCHMARK_SLP, BENCHMARK_WALK_LENGTH, benchmark_trial_spec
-from rwtv.slp import _recover_batch
-from lp_oracle import tv_min_lp
+from rwtv.slp import _recover_batch, _steps
+from lp_oracle import dense_incidence, tv_min_lp
 from reference_slp import reference_slp
 from strategies import graphs
 
@@ -145,8 +145,12 @@ def test_deterministic():
     assert r1.iterations_run == r2.iterations_run
 
 
+# The paper rule at the settings the benchmark sweeps used before they moved
+# to the certified rule.
+PAPER_SLP = SlpConfig(max_iterations=5000, rel_change_tol=1e-5)
+
 # (budget, trial index, iterations_run, SHA-256 of recovered.tobytes()) of
-# reference trials at seed 7, solved with BENCHMARK_SLP
+# reference trials at seed 7, solved with PAPER_SLP
 PINNED_SOLVES = [
     (10, 0, 588, "e4a8b8161dd41966f56c2c8ddd3b27d5676d219eb5c3acdc6e840bb006a309fa"),
     (10, 1, 404, "13a7e0ed77cea41353f45a3057cca3c6f6ab6012c91ee84324eb7484f1e56807"),
@@ -171,15 +175,21 @@ PINNED_SOLVES = [
 ]
 
 
+def reference_trial(budget, index):
+    """Graph, sampling set and sampled values of a seed-7 reference trial."""
+    walk = WalkConfig(BENCHMARK_WALK_LENGTH, budget)
+    spec = replace(benchmark_trial_spec(seed=7), walk=walk)
+    gen = spec.master_seed.substream(index).generator()
+    g, part = generate_appm(spec.appm, gen)
+    x = random_clustered_signal(part, gen)
+    m = random_walk_sampling(g, spec.walk, gen)
+    return g, m, x[m.nodes]
+
+
 def test_seeded_reference_solves_are_pinned():
-    base = benchmark_trial_spec(seed=7)
     for budget, index, iterations, digest in PINNED_SOLVES:
-        spec = replace(base, walk=WalkConfig(BENCHMARK_WALK_LENGTH, budget))
-        gen = spec.master_seed.substream(index).generator()
-        g, part = generate_appm(spec.appm, gen)
-        x = random_clustered_signal(part, gen)
-        m = random_walk_sampling(g, spec.walk, gen)
-        res = slp_recover(g, m, x[m.nodes], BENCHMARK_SLP)
+        g, m, values = reference_trial(budget, index)
+        res = slp_recover(g, m, values, PAPER_SLP)
         assert res.iterations_run == iterations, (budget, index)
         assert hashlib.sha256(res.recovered.tobytes()).hexdigest() == digest, (
             budget,
@@ -187,20 +197,21 @@ def test_seeded_reference_solves_are_pinned():
         )
 
 
-def test_batch_matches_serial_solves_bit_for_bit():
-    # small random graphs plus reference trials: different max degrees (so
-    # different steps), different stop iterations, and trial 3 at budget
-    # 10 (2439 iterations under BENCHMARK_SLP) runs into the cap
+def mixed_batch():
+    """Small random graphs (one with an isolated node) and reference
+    trials, of different max degrees."""
     problems = [random_instance(seed) for seed in range(8)]
-    base = benchmark_trial_spec(seed=7)
     reference = [(1, 10, 3), (4, 50, 0), (6, 10, 1), (11, 50, 3)]
     for pos, budget, index in reference:
-        spec = replace(base, walk=WalkConfig(BENCHMARK_WALK_LENGTH, budget))
-        gen = spec.master_seed.substream(index).generator()
-        g, part = generate_appm(spec.appm, gen)
-        x = random_clustered_signal(part, gen)
-        m = random_walk_sampling(g, spec.walk, gen)
-        problems.insert(pos, (g, m, x[m.nodes]))
+        problems.insert(pos, reference_trial(budget, index))
+    return problems
+
+
+def test_batch_matches_serial_solves_bit_for_bit():
+    # different max degrees (so different steps), different stop
+    # iterations, and trial 3 at budget 10 (2439 iterations under
+    # PAPER_SLP) runs into the cap
+    problems = mixed_batch()
     cfg = SlpConfig(max_iterations=2000, rel_change_tol=1e-5)
     serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
     batch = _recover_batch(problems, cfg)
@@ -211,6 +222,95 @@ def test_batch_matches_serial_solves_bit_for_bit():
     iterations = {r.iterations_run for r in serial}
     assert cfg.max_iterations in iterations and len(iterations) > 5
     assert len({g.max_degree for g, _, _ in problems}) > 3
+
+
+def test_certified_batch_matches_serial_solves_bit_for_bit(monkeypatch):
+    # a cap off the check grid stops the slowest problems between checks
+    problems = mixed_batch()
+    cfg = SlpConfig(max_iterations=333, gap_tol=1e-3)
+    serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
+    batch = _recover_batch(problems, cfg)
+    for a, b in zip(batch, serial):
+        assert a.iterations_run == b.iterations_run
+        assert a.recovered.tobytes() == b.recovered.tobytes()
+        assert (a.gap, a.lower_bound) == (b.gap, b.lower_bound)
+    iterations = [r.iterations_run for r in serial]
+    assert cfg.max_iterations in iterations and len(set(iterations)) > 3
+    assert any(np.any(g.degrees == 0) for g, _, _ in problems)
+    for r in serial:
+        assert (r.gap <= cfg.gap_tol) == (r.iterations_run < cfg.max_iterations)
+    # the batch restarts: without restarts, some of its problems run otherwise
+    monkeypatch.setattr("rwtv.slp._SUFFICIENT", -np.inf)
+    monkeypatch.setattr("rwtv.slp._NECESSARY", -np.inf)
+    monkeypatch.setattr("rwtv.slp._ARTIFICIAL", np.inf)
+    plain = _recover_batch(problems, cfg)
+    assert [r.iterations_run for r in plain] != iterations
+
+
+def test_certified_stops_are_within_gap_tol_of_the_lp_optimum():
+    cfg = BENCHMARK_SLP
+    for budget in (10, 50):
+        for index in range(20):
+            g, m, values = reference_trial(budget, index)
+            res = slp_recover(g, m, values, cfg)
+            _, tv_opt = tv_min_lp(g, m.nodes, values)
+            tv = total_variation(g, res.recovered)
+            assert res.iterations_run < cfg.max_iterations, (budget, index)
+            assert res.gap <= cfg.gap_tol, (budget, index)
+            assert tv <= tv_opt * (1 + cfg.gap_tol), (budget, index)
+            # the bound can reach the optimum itself, up to rounding
+            assert res.lower_bound <= tv_opt * (1 + 1e-12), (budget, index)
+            assert np.array_equal(res.recovered[m.nodes], values)
+
+
+def test_certified_rule_stops_when_the_optimum_is_zero():
+    # one sample, or all samples equal: the optimal total variation is 0,
+    # and the gap is measured against 1e-6 times the largest sample
+    g, m, _ = reference_trial(10, 0)
+    cases = [
+        (m.nodes[:1], [0.7]),
+        (m.nodes, np.full(len(m), 0.7)),
+        (m.nodes, np.full(len(m), -3.25)),
+        (m.nodes, np.zeros(len(m))),
+    ]
+    for nodes, values in cases:
+        res = slp_recover(g, sampling_set(nodes), values, BENCHMARK_SLP)
+        assert res.iterations_run < BENCHMARK_SLP.max_iterations
+        assert res.gap <= BENCHMARK_SLP.gap_tol
+        tv = total_variation(g, res.recovered)
+        assert tv <= BENCHMARK_SLP.gap_tol * 1e-6 * abs(values[0])
+
+
+def test_certified_rule_gives_isolated_nodes_a_finite_step():
+    g = Graph(5, [(0, 1), (1, 2)])  # nodes 3 and 4 have no edge
+    step_x, step_y = _steps(g, certified=True)
+    assert step_x.tolist() == [1.0, 0.5, 1.0, 1.0, 1.0]
+    assert step_y.tolist() == [0.5, 0.5]
+    res = slp_recover(g, sampling_set([0, 2, 4]), [2.0, 1.0, 3.0], BENCHMARK_SLP)
+    # the unsampled isolated node keeps its start, the sampled one its value
+    assert res.recovered[3] == 0.0 and res.recovered[4] == 3.0
+    assert np.all(np.isfinite(res.recovered))
+    assert total_variation(g, res.recovered) == pytest.approx(1.0, abs=1e-3)
+
+
+@settings(max_examples=25)
+@given(graphs(min_edges=1))
+def test_diagonal_steps_within_stability_bound(g):
+    # Pock and Chambolle's condition: |diag(step_y)^1/2 D diag(step_x)^1/2| <= 1
+    step_x, step_y = _steps(g, certified=True)
+    scaled = np.sqrt(step_y)[:, None] * dense_incidence(g) * np.sqrt(step_x)
+    assert np.linalg.norm(scaled, 2) <= 1.0 + 1e-12
+
+
+def test_paper_rule_reports_the_gap_of_its_last_dual():
+    for seed in range(10):
+        g, m, values = random_instance(100 + seed)
+        res = slp_recover(g, m, values, PAPER_SLP)
+        _, tv_opt = tv_min_lp(g, m.nodes, values)
+        tv = total_variation(g, res.recovered)
+        assert res.lower_bound <= tv_opt + 1e-12
+        scale = max(tv, 1e-6 * np.abs(values).max())
+        assert res.gap == pytest.approx((tv - res.lower_bound) / scale, abs=1e-12)
 
 
 def test_empty_batch_recovers_nothing():
@@ -286,6 +386,9 @@ def test_unknown_sample_nodes_rejected():
         (lambda: SlpConfig(rel_change_tol=float("nan")), "rel_change_tol"),
         (lambda: SlpConfig(rel_change_tol=float("inf")), "rel_change_tol"),
         (lambda: SlpConfig(rel_change_tol=-1), "rel_change_tol"),
+        (lambda: SlpConfig(gap_tol=float("nan")), "gap_tol"),
+        (lambda: SlpConfig(gap_tol=float("inf")), "gap_tol"),
+        (lambda: SlpConfig(gap_tol=-1e-3), "gap_tol"),
     ],
 )
 def test_invalid_slp_config_rejected(call, message):
