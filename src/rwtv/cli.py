@@ -20,7 +20,6 @@ from .experiments import (
     TABLE1_BUDGETS,
     TABLE2_BUDGET,
     TABLE2_LENGTHS,
-    _check_workers,
     aggregate_rows,
     benchmark_trial_spec,
     run_sweep,
@@ -41,7 +40,7 @@ from .fileio import (
     write_sampling,
     write_signal,
 )
-from .graph import is_connected
+from .graph import _check_count, is_connected
 from .rng import RngSeed
 from .sampling import (
     WalkConfig,
@@ -155,7 +154,7 @@ def _cmd_recover(args):
     with open(args.signal) as fh:
         observed, truth = read_observations(fh, m, g.node_count)
 
-    cfg = SlpConfig(max_iterations=args.max_iter, rel_change_tol=args.tol)
+    cfg = SlpConfig(max_iterations=args.max_iter, gap_tol=args.tol)
     result = slp_recover(g, m, observed, cfg)
     _atomic_write(args.out, lambda fh: write_signal(result.recovered, fh))
     print(f"recovered in {result.iterations_run} iterations")
@@ -166,7 +165,7 @@ def _cmd_recover(args):
 
 def _cmd_experiment(args):
     base = benchmark_trial_spec(runs=args.runs, seed=args.seed)
-    workers = _check_workers(args.workers)
+    workers = _check_count(args.workers, "workers")
     if args.which == "table1":
         param, values = "budget", TABLE1_BUDGETS
         walks = [WalkConfig(base.walk.length, b) for b in values]
@@ -283,8 +282,19 @@ def _build_parser():
         required=True,
         help="full signal (truth) or values on exactly the sampled nodes",
     )
-    p.add_argument("--max-iter", type=_INT, default=SlpConfig().max_iterations)
-    p.add_argument("--tol", type=_FLOAT, default=SlpConfig().rel_change_tol)
+    p.add_argument(
+        "--max-iter",
+        type=_INT,
+        default=SlpConfig().max_iterations,
+        help="stop after this many iterations at the latest (default: %(default)s)",
+    )
+    p.add_argument(
+        "--tol",
+        type=_FLOAT,
+        default=SlpConfig().gap_tol,
+        help="stop once the certified relative duality gap of the recovered "
+        "signal is at most this (default: %(default)s)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_recover)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fileio import _read_table
-from .graph import cut_size
+from .graph import _check_count, cut_size
 from .rng import RngSeed
 from .sampling import SamplingBudgetError, WalkConfig, random_walk_sampling
 from .slp import SlpConfig, _recover_batch, nmse
@@ -63,14 +63,13 @@ TABLE2_LENGTHS = (20, 40, 80, 160, 320)
 TABLE2_BUDGET = 10
 CLUSTER_STATS_BUDGET = 50
 
-# Stopping parameters used by the benchmark sweeps: the certified rule of
-# rwtv.slp, which stops each solve within 0.1% of the optimal total
-# variation. On the 40 reference trials at seed 7 and budgets 10 and 50,
-# the recovered total variation exceeded the LP optimum by 0.047% in the
-# median and 0.089% at worst, after a median of 170 and at most 1080
-# iterations. A table1 reference trial (draw, sample, recover, score) takes
-# ~3.7 ms in a batched sweep and ~6 ms recovered on its own (2-core x86
-# host, wall time of run_sweep and run_trial).
+# Stopping parameters used by the benchmark sweeps, which stop each solve
+# within 0.1% of the optimal total variation. On the 40 reference trials at
+# seed 7 and budgets 10 and 50, the recovered total variation exceeded the
+# LP optimum by 0.047% in the median and 0.089% at worst, after a median of
+# 170 and at most 1080 iterations. A table1 reference trial (draw, sample,
+# recover, score) takes ~3.7 ms in a batched sweep and ~6 ms recovered on
+# its own (2-core x86 host, wall time of run_sweep and run_trial).
 BENCHMARK_SLP = SlpConfig(max_iterations=5000, gap_tol=1e-3)
 
 # Trials recovered together in one batch, which spreads the solver's
@@ -90,9 +89,7 @@ class TrialSpec:
     master_seed: RngSeed
 
     def __post_init__(self):
-        if int(self.runs) < 1:
-            raise ValueError("runs must be >= 1")
-        object.__setattr__(self, "runs", int(self.runs))
+        object.__setattr__(self, "runs", _check_count(self.runs, "runs"))
         if self.walk.budget > self.appm.node_count:
             raise ValueError(
                 f"budget {self.walk.budget} exceeds node count "
@@ -177,12 +174,6 @@ def _run_chunk(jobs):
     return list(zip(variants, _recover_and_score(jobs[0][1].slp, drawn)))
 
 
-def _check_workers(workers):
-    if int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return int(workers)
-
-
 def _cluster_count(rows):
     """The one length of every row's per-cluster tuples (0 for no rows)."""
     lengths = {len(r.samples_per_cluster) for r in rows}
@@ -229,7 +220,7 @@ def run_sweep(base, walks, workers=1):
     in trial-index order. The pool holds at most one of the ``workers``
     processes per chunk of at most ``_CHUNK_TRIALS`` trials.
     """
-    workers = _check_workers(workers)
+    workers = _check_count(workers, "workers")
     specs = [
         replace(base, walk=walk, master_seed=base.master_seed.substream(i << 32))
         for i, walk in enumerate(walks)

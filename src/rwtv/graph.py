@@ -23,7 +23,6 @@ __all__ = [
     "clustered_signal",
     "is_connected",
     "is_bipartite",
-    "incidence_norm_sq",
 ]
 
 
@@ -87,10 +86,6 @@ class Graph:
     @property
     def edge_count(self):
         return self.tails.size
-
-    @property
-    def max_degree(self):
-        return int(self.degrees.max())
 
     @functools.cached_property
     def _neighbor_lists(self):
@@ -217,6 +212,24 @@ def _check_signal(x, size, what):
     return x
 
 
+def _check_count(value, what):
+    """``value`` as an int of at least 1; ``what`` names it in errors.
+
+    Integral floats and numpy integers pass; a fraction, an infinity or a
+    NaN is rejected rather than truncated.
+    """
+    try:
+        count = int(value)
+        integral = count == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if count < 1:
+        raise ValueError(f"{what} must be >= 1, got {count}")
+    return count
+
+
 def _check_partition(g, part):
     if part.node_count != g.node_count:
         raise ValueError(
@@ -325,25 +338,3 @@ def is_bipartite(g):
     )
     return bool(np.all(label[:n] != label[n:]))
 
-
-def incidence_norm_sq(g, iterations=200):
-    """Power-iteration estimate of the squared operator 2-norm of the
-    incidence map (largest Laplacian eigenvalue).
-
-    Deterministic (the start vector is drawn from seed 0); the estimate
-    converges from below.
-    """
-    if g.edge_count == 0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(g.node_count)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iterations):
-        w = incidence_transpose_apply(g, incidence_apply(g, v))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = norm
-    return float(lam)

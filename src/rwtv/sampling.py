@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _check_node, _check_partition
+from .graph import _check_count, _check_node, _check_partition
 from .rng import as_generator
 
 __all__ = [
@@ -54,12 +54,8 @@ class WalkConfig:
     budget: int
 
     def __post_init__(self):
-        if int(self.length) < 1:
-            raise ValueError(f"walk length must be >= 1, got {self.length}")
-        if int(self.budget) < 1:
-            raise ValueError(f"sampling budget must be >= 1, got {self.budget}")
-        object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "length", _check_count(self.length, "walk length"))
+        object.__setattr__(self, "budget", _check_count(self.budget, "sampling budget"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,20 +9,15 @@ the unit box, the primal node variable takes a gradient step through the
 adjoint and is then overwritten with the observations on sampled nodes,
 and an over-relaxed copy feeds the next dual step.
 
-:class:`SlpConfig` selects one of two rules for steps, stop and output.
-
-- The paper rule (``gap_tol == 0``) takes one step size per graph, stops
-  when the running average of the primal iterates changes little, and
-  returns that average.
-- The certified rule (``gap_tol > 0``) takes diagonal steps (Pock and
-  Chambolle, ICCV 2011: ``1 / degree`` per node, ``1 / 2`` per edge) and
-  also keeps a running average of the dual iterates. Every 10
-  iterations it bounds the optimum from below with the last and the
-  averaged dual, and stops once the smaller total variation of the last
-  and the averaged primal iterate is within ``gap_tol`` of the larger
-  bound; it returns that iterate. At the same checks it
-  restarts the iteration from the primal-dual pair with the smaller gap,
-  by the rules of PDLP (Applegate et al., NeurIPS 2021).
+The iteration takes diagonal steps (Pock and Chambolle, ICCV 2011:
+``1 / degree`` per node, ``1 / 2`` per edge) and keeps running averages
+of the primal and the dual iterates. Every 10 iterations it bounds the
+optimum from below with the last and the averaged dual, and stops once
+the smaller total variation of the last and the averaged primal iterate
+is within :attr:`SlpConfig.gap_tol` of the larger bound; it returns that
+iterate. At the same checks it restarts the iteration from the
+primal-dual pair with the smaller gap, by the rules of PDLP (Applegate
+et al., NeurIPS 2021).
 
 The bound needs no projection of the dual. Clipping a signal to
 ``[lo, hi]``, the smallest and largest observed values, raises no edge
@@ -30,9 +25,8 @@ difference, so some minimizer lies in that box. Hence for any edge
 signal ``y`` in the unit box, with ``r`` its image under the adjoint of
 the incidence map, the optimum is at least
 ``sum_{i in M} obs_i r_i + sum_{i not in M} min(lo r_i, hi r_i)``.
-Under either rule :class:`SlpResult` reports this bound and the relative
-gap of the returned signal; the paper rule computes it once, at the stop,
-from the last dual.
+:class:`SlpResult` reports this bound and the relative gap of the
+returned signal.
 
 One loop solves one problem or many. Many problems are solved as their
 disjoint union: node and edge ids are offset per problem, each problem's
@@ -53,11 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _check_signal
+from .graph import _check_count, _check_signal
 
 __all__ = ["SlpConfig", "SlpResult", "clip", "slp_recover", "nmse"]
 
-# Iterations between two gap checks of the certified rule.
+# Iterations between two gap checks.
 _CHECK_EVERY = 10
 # PDLP's restart constants: a restart when the gap fell to 0.2 of the gap
 # at the last restart, or to 0.8 of it and rose since the previous check,
@@ -76,29 +70,22 @@ _ISOLATED_STEP = 1.0
 class SlpConfig:
     """Stopping parameters for the primal-dual recovery iteration.
 
-    The iteration stops after ``max_iterations`` steps at the latest.
-    With ``gap_tol == 0`` (the default) it follows the paper's rule and
-    stops as soon as the relative change of the averaged iterate between
-    consecutive steps, ``norm(avg_k - avg_{k-1}) / max(norm(avg_k),
-    1e-12)``, falls below ``rel_change_tol``. With ``gap_tol > 0`` it
-    follows the certified rule and stops as soon as the certified
-    relative duality gap is at most ``gap_tol``; ``rel_change_tol`` is
-    then unused.
+    The iteration stops as soon as the certified relative duality gap of
+    its output (see :class:`SlpResult`) is at most ``gap_tol``, and after
+    ``max_iterations`` steps at the latest. The gap is checked every 10
+    iterations and at the last one.
     """
 
     max_iterations: int = 50000
-    rel_change_tol: float = 1e-7
-    gap_tol: float = 0.0
+    gap_tol: float = 1e-3
 
     def __post_init__(self):
-        if int(self.max_iterations) < 1:
-            raise ValueError("max_iterations must be >= 1")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        for name in ("rel_change_tol", "gap_tol"):
-            tol = float(getattr(self, name))
-            if not (math.isfinite(tol) and tol >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
-            object.__setattr__(self, name, tol)
+        count = _check_count(self.max_iterations, "max_iterations")
+        object.__setattr__(self, "max_iterations", count)
+        tol = float(self.gap_tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError("gap_tol must be finite and >= 0")
+        object.__setattr__(self, "gap_tol", tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +133,10 @@ def slp_recover(g, m, samples, cfg=None):
 
     Notes
     -----
-    Under the paper rule both step sizes are ``1 / (2 sqrt(d_max))`` with
-    ``d_max`` the maximum node degree; since the squared operator norm of
-    the incidence map is at most ``2 d_max``, the product of the step
-    sizes stays below the stability threshold. The certified rule's
-    diagonal steps meet the condition of Pock and Chambolle's diagonal
-    preconditioning instead. The iteration is deterministic. When the
-    recovery condition fails the minimizer may be non-unique; the solver
-    then returns whatever the iteration converges to.
+    The diagonal steps meet the stability condition of Pock and
+    Chambolle's diagonal preconditioning. The iteration is deterministic.
+    When the recovery condition fails the minimizer may be non-unique;
+    the solver then returns whatever the iteration converges to.
 
     Running averages are maintained incrementally
     (``avg += (x - avg) / k``), which keeps the accumulator at signal
@@ -164,11 +147,8 @@ def slp_recover(g, m, samples, cfg=None):
     return _recover_batch([(g, m, samples)], cfg)[0]
 
 
-def _steps(g, certified):
+def _steps(g):
     """Per-node and per-edge step sizes of one problem."""
-    if not certified:
-        step = 0.5 / math.sqrt(g.max_degree)
-        return np.full(g.node_count, step), np.full(g.edge_count, step)
     deg = g.degrees
     step_x = np.divide(1.0, deg, out=np.full(deg.size, _ISOLATED_STEP), where=deg > 0)
     return step_x, np.full(g.edge_count, 0.5)
@@ -189,8 +169,7 @@ def _recover_batch(problems, cfg):
             raise ValueError("sampling set must be nonempty")
         m.mask(g.node_count)
         values.append(_check_signal(samples, len(m), "sample values"))
-    certified = cfg.gap_tol > 0.0
-    steps = [_steps(g, certified) for g, _, _ in problems]
+    steps = [_steps(g) for g, _, _ in problems]
     lo = np.array([v.min() for v in values])
     hi = np.array([v.max() for v in values])
     floor = _GAP_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
@@ -243,21 +222,6 @@ def _recover_batch(problems, cfg):
             z = 2.0 * x_next - x
             x = x_next
             k += 1
-            if not certified:
-                avg, prev = avg + (x - avg) / k, avg
-                # each problem's two norms, summed over its contiguous node range
-                diff = avg - prev
-                change = np.sqrt(np.add.reduceat(diff * diff, offsets))
-                size = np.sqrt(np.add.reduceat(avg * avg, offsets))
-                done = change < cfg.rel_change_tol * np.maximum(size, 1e-12)
-                if k == cfg.max_iterations:
-                    done[:] = True
-                if np.count_nonzero(done):
-                    out = avg
-                    tv, bound = certify(avg, grad)
-                    break
-                continue
-
             avg += (x - avg) / (k - start_n)
             y_avg += (y - y_avg) / (k - start_e)
             if k % _CHECK_EVERY and k != cfg.max_iterations:

@@ -1,12 +1,14 @@
 """Independent total-variation minimization oracle.
 
 Solves min ||D x||_1 subject to x agreeing with the observations, as a
-linear program with one slack variable per edge. Used only to check the
+linear program with one slack variable per edge, held in sparse matrices
+so that graphs of a few thousand edges fit. Used only to check the
 primal-dual solver; shares no code with it beyond the Graph type.
 """
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix, hstack, identity, vstack
 
 
 def dense_incidence(g):
@@ -19,20 +21,22 @@ def dense_incidence(g):
 def tv_min_lp(g, sample_nodes, sample_values):
     """Returns (optimal signal, optimal total variation)."""
     n, e = g.node_count, g.edge_count
-    D = dense_incidence(g)
+    rows = np.repeat(np.arange(e), 2)
+    cols = np.column_stack([g.heads, g.tails]).ravel()
+    D = coo_matrix((np.tile([1.0, -1.0], e), (rows, cols)), shape=(e, n))
     c = np.concatenate([np.zeros(n), np.ones(e)])
-    eye = np.eye(e)
-    A_ub = np.block([[D, -eye], [-D, -eye]])
+    eye = identity(e)
+    A_ub = vstack([hstack([D, -eye]), hstack([-D, -eye])], format="csr")
     b_ub = np.zeros(2 * e)
     sample_nodes = np.asarray(sample_nodes, dtype=int)
-    A_eq = np.zeros((sample_nodes.size, n + e))
-    A_eq[np.arange(sample_nodes.size), sample_nodes] = 1.0
+    k = sample_nodes.size
+    A_eq = coo_matrix((np.ones(k), (np.arange(k), sample_nodes)), shape=(k, n + e))
     b_eq = np.asarray(sample_values, dtype=float)
     res = linprog(
         c,
         A_ub=A_ub,
         b_ub=b_ub,
-        A_eq=A_eq,
+        A_eq=A_eq.tocsr(),
         b_eq=b_eq,
         bounds=[(None, None)] * n + [(0, None)] * e,
         method="highs",

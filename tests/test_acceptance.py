@@ -199,7 +199,7 @@ def test_criterion_4_exact_recovery_when_condition_holds():
             g,
             m,
             x_true[m.nodes],
-            SlpConfig(max_iterations=50000, rel_change_tol=1e-8),
+            SlpConfig(max_iterations=50000, gap_tol=1e-6),
         )
         worst = max(worst, nmse(res.recovered, x_true))
     ok = worst <= 1e-4
@@ -228,7 +228,7 @@ def test_criterion_5_matches_lp_oracle():
         m = uniform_sampling(g, int(gen.integers(1, n + 1)), gen)
         values = gen.random(len(m))
         res = slp_recover(
-            g, m, values, SlpConfig(max_iterations=200000, rel_change_tol=1e-9)
+            g, m, values, SlpConfig(max_iterations=200000, gap_tol=1e-6)
         )
         _, tv_opt = tv_min_lp(g, m.nodes, values)
         worst = max(worst, abs(total_variation(g, res.recovered) - tv_opt))
@@ -317,7 +317,7 @@ def _fixture_pipeline(seed):
     budget = max(1, round(0.1 * sub.node_count))
     m = random_walk_sampling(sub, WalkConfig(length=20, budget=budget), gen)
     x_sub = x[kept]
-    res = slp_recover(sub, m, x_sub[m.nodes], SlpConfig(5000, 1e-5))
+    res = slp_recover(sub, m, x_sub[m.nodes], SlpConfig(max_iterations=5000, gap_tol=1e-5))
     return nmse(res.recovered, x_sub)
 
 

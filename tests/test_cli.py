@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rwtv import Graph, Partition, SamplingSet, SlpConfig, slp_recover
+from rwtv import Graph, Partition, SamplingSet, SlpConfig, slp_recover, total_variation
 from rwtv.cli import _atomic_write, main
 from rwtv.fileio import (
     parse_edge_list,
@@ -19,6 +19,7 @@ from rwtv.fileio import (
     write_signal,
 )
 
+from lp_oracle import tv_min_lp
 from reference_edge_list import reference_parse
 
 DATA = Path(__file__).parent / "data"
@@ -431,33 +432,11 @@ def experiment_digests(tmp_path, capsys, which, runs):
     }
 
 
-# The paper's stop rule at the settings that the benchmark sweeps used before
-# they moved to the certified rule. The PINNED_EXPERIMENT_FILES and
-# PINNED_TABLE2_FILES digests were recorded under it, and still hold with it
-# patched in, so moving the sweeps changed nothing but the solver.
-PAPER_SLP = SlpConfig(max_iterations=5000, rel_change_tol=1e-5)
-
 # SHA-256 of every file written by `experiment table1|clusterstats --runs 4
-# --seed 1 --workers 1` under PAPER_SLP. Like PINNED_SOLVES in test_slp.py,
-# these hold for the numpy build they were recorded with (2.4.6): bit
-# exactness of seeded draws across numpy versions is not promised.
-PINNED_EXPERIMENT_FILES = {
-    "table1": {
-        "table1_summary.csv": "df3d4652e8de257ae18d6059861809563dc46de048c0457df52b42cca273a683",
-        "table1_trials_budget10.csv": "2b985c8a288756261c6b40d32f54afab96739f30baab85a4d33b5d78e8f375cd",
-        "table1_trials_budget20.csv": "2b5f025271af46b6dcf5fa49b4671652054d8d17999006c78bce52c7d851022f",
-        "table1_trials_budget30.csv": "b15c4c47a84645299a4e6e4d22ced8bdc248461a7e7c513fd87cdf199ffd8733",
-        "table1_trials_budget40.csv": "ff307f4683c649d605c965407e7feb8168864d897fdcad18cc8f07719838d123",
-        "table1_trials_budget50.csv": "57d1a8873050d385414216b8de30f7863da32c149ff3614c59408d715de0dbaa",
-    },
-    "clusterstats": {
-        "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
-        "clusterstats_trials.csv": "ddc2fab1d066063af86c6f96df807ae7d00bb76f5fb7c76a486f746b8998d794",
-    },
-}
-
-# The same files under BENCHMARK_SLP, the certified rule. Only the NMSE
-# columns and the summaries' means and STDs differ from the files above.
+# --seed 1 --workers 1` under BENCHMARK_SLP. Like PINNED_SOLVES in
+# test_slp.py, these hold for the numpy build they were recorded with
+# (2.4.6): bit exactness of seeded draws across numpy versions is not
+# promised.
 PINNED_CERTIFIED_EXPERIMENT_FILES = {
     "table1": {
         "table1_summary.csv": "5aa6aa2f3fdad35f0bec9cc2a0f3fb853fba9e6cb71ec9624d911fb2133a7a15",
@@ -474,13 +453,6 @@ PINNED_CERTIFIED_EXPERIMENT_FILES = {
 }
 
 
-@pytest.mark.parametrize("which", sorted(PINNED_EXPERIMENT_FILES))
-def test_seeded_experiment_files_are_pinned(tmp_path, capsys, monkeypatch, which):
-    monkeypatch.setattr("rwtv.experiments.BENCHMARK_SLP", PAPER_SLP)
-    digests = experiment_digests(tmp_path, capsys, which, 4)
-    assert digests == PINNED_EXPERIMENT_FILES[which]
-
-
 @pytest.mark.parametrize("which", sorted(PINNED_CERTIFIED_EXPERIMENT_FILES))
 def test_seeded_certified_experiment_files_are_pinned(tmp_path, capsys, which):
     digests = experiment_digests(tmp_path, capsys, which, 4)
@@ -488,19 +460,9 @@ def test_seeded_certified_experiment_files_are_pinned(tmp_path, capsys, which):
 
 
 # SHA-256 of every file written by `experiment table2 --runs 2 --seed 1
-# --workers 1` under PAPER_SLP: walks of length 20..320, where the walker
-# does most of the drawing. Recorded with the same numpy build as
-# PINNED_EXPERIMENT_FILES.
-PINNED_TABLE2_FILES = {
-    "table2_summary.csv": "da1f3c936e48fc3f0922b4e2d1c8ac973223a7d3a296711285c71b025eef56f5",
-    "table2_trials_walk_length20.csv": "2884a469c69d784a62191e0b242147f870028e859d1ea6abd901713f5f583577",
-    "table2_trials_walk_length40.csv": "a744d03d4b2bff729957f85c6a82d5432147c8a5b0019e98a5686546e4b25d32",
-    "table2_trials_walk_length80.csv": "1da46f1c9aea173eb2a9022bb110f1ce5116842aa1101568ee14e2f2c7f3004b",
-    "table2_trials_walk_length160.csv": "30d4d044de332d470e0957c9bf625146ceb7550a4d5cd044bf9c12a4416ff73a",
-    "table2_trials_walk_length320.csv": "f86101914e24979390342c00f715fc10fef8e0f4ab3658f34a1209a3f4f16d08",
-}
-
-# The same files under BENCHMARK_SLP.
+# --workers 1` under BENCHMARK_SLP: walks of length 20..320, where the
+# walker does most of the drawing. Recorded with the same numpy build as
+# PINNED_CERTIFIED_EXPERIMENT_FILES.
 PINNED_CERTIFIED_TABLE2_FILES = {
     "table2_summary.csv": "604170986c48d75c068619ca7a20a8d2ab4fd4e2421108b04e62ab4974f03c02",
     "table2_trials_walk_length20.csv": "e772c72268574e110b0bb78a4a9ce4dfde11aacfbc023651441e7026bc1824e2",
@@ -511,38 +473,15 @@ PINNED_CERTIFIED_TABLE2_FILES = {
 }
 
 
-def test_seeded_table2_files_are_pinned(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("rwtv.experiments.BENCHMARK_SLP", PAPER_SLP)
-    assert experiment_digests(tmp_path, capsys, "table2", 2) == PINNED_TABLE2_FILES
-
-
 def test_seeded_certified_table2_files_are_pinned(tmp_path, capsys):
     digests = experiment_digests(tmp_path, capsys, "table2", 2)
     assert digests == PINNED_CERTIFIED_TABLE2_FILES
 
 
-# SHA-256 of every file that `extract-subgraph --out-map`, `sample --method
-# walk` and `recover` write on the co-purchase fixture, keyed by whether
-# --drop-isolated is set (two fixture nodes appear only in self-loop lines).
-# Recorded with the same numpy build as PINNED_EXPERIMENT_FILES.
-PINNED_PIPELINE_FILES = {
-    False: {
-        "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
-        "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
-        "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "44aa93f1cd0442e5a291a512f330d1e3d07e0321904b6f8d23585bf6d88b5e42",
-    },
-    True: {
-        "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
-        "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
-        "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "62ba43cb401f681d0e8d345165688ba6ea6747929e7b48ddb464bf3911e0b89a",
-    },
-}
-
-
-@pytest.mark.parametrize("drop_isolated", sorted(PINNED_PIPELINE_FILES))
-def test_seeded_pipeline_files_are_pinned(tmp_path, capsys, drop_isolated):
+def run_fixture_pipeline(tmp_path, capsys, drop_isolated):
+    """Run `extract-subgraph --out-map`, `sample --method walk` and `recover
+    --max-iter 5000 --tol 1e-5` on the co-purchase fixture. Returns the
+    directory of the files they write and what they print."""
     fixture = DATA / "copurchase_graph.txt"
     graph = ["--graph", str(fixture)] + ["--drop-isolated"] * drop_isolated
     _, _, id_map = reference_parse(fixture.read_text(), drop_isolated)
@@ -574,7 +513,48 @@ def test_seeded_pipeline_files_are_pinned(tmp_path, capsys, drop_isolated):
     ]
     for argv in commands:
         assert main(list(map(str, argv))) == 0
-    capsys.readouterr()
+    return out, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("drop_isolated", [False, True])
+def test_recover_stops_within_tol_of_the_lp_optimum(tmp_path, capsys, drop_isolated):
+    # --tol is the certified relative duality gap, so the recovered total
+    # variation exceeds the optimum by at most that fraction
+    out, printed = run_fixture_pipeline(tmp_path, capsys, drop_isolated)
+    with open(DATA / "copurchase_graph.txt") as fh:
+        g, _ = parse_edge_list(fh, drop_isolated=drop_isolated)
+    with open(out / "m.csv") as fh:
+        m = read_sampling(fh, g.node_count)
+    with open(out / "xhat.csv") as fh:
+        x_hat = read_signal(fh, g.node_count)
+    iterations = int(printed.split("recovered in ")[1].split()[0])
+    assert iterations < 5000
+    _, tv_opt = tv_min_lp(g, m.nodes, x_hat[m.nodes])
+    assert total_variation(g, x_hat) <= tv_opt * (1 + 1e-5)
+
+
+# SHA-256 of every file that run_fixture_pipeline writes, keyed by whether
+# --drop-isolated is set (two fixture nodes appear only in self-loop lines).
+# Recorded with the same numpy build as PINNED_CERTIFIED_EXPERIMENT_FILES.
+PINNED_PIPELINE_FILES = {
+    False: {
+        "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
+        "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
+        "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
+        "xhat.csv": "0b30f1da48bc5827a812582a7afc4dc801469665ea0e92de2f3e2084c3c98165",
+    },
+    True: {
+        "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
+        "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
+        "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
+        "xhat.csv": "ee0d593f7d005866307b60304696dbab2b332dedd397af8fd7a5714e1bec8997",
+    },
+}
+
+
+@pytest.mark.parametrize("drop_isolated", sorted(PINNED_PIPELINE_FILES))
+def test_seeded_pipeline_files_are_pinned(tmp_path, capsys, drop_isolated):
+    out, _ = run_fixture_pipeline(tmp_path, capsys, drop_isolated)
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
     }

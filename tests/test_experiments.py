@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import rwtv.experiments
@@ -24,7 +25,7 @@ def small_spec(runs=4, budget=5, length=6, seed=0):
     return TrialSpec(
         appm=AppmSpec((5, 10), 0.5, 0.1),
         walk=WalkConfig(length=length, budget=budget),
-        slp=SlpConfig(max_iterations=300, rel_change_tol=1e-4),
+        slp=SlpConfig(max_iterations=300, gap_tol=1e-4),
         runs=runs,
         master_seed=RngSeed(seed),
     )
@@ -176,6 +177,28 @@ def test_run_sweep_rejects_workers_below_one(workers):
     spec = small_spec(runs=2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_sweep(spec, [spec.walk], workers=workers)
+
+
+# each whole-number setting, built from one value; a sweep of one trial runs
+# in one chunk, so no worker process starts
+COUNT_SETTINGS = {
+    "max_iterations": lambda v: SlpConfig(max_iterations=v),
+    "walk length": lambda v: WalkConfig(length=v, budget=2),
+    "sampling budget": lambda v: WalkConfig(length=3, budget=v),
+    "runs": lambda v: small_spec(runs=v),
+    "workers": lambda v: run_sweep(small_spec(runs=1), [WalkConfig(6, 5)], workers=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+@pytest.mark.parametrize("field", sorted(COUNT_SETTINGS))
+def test_count_settings_reject_non_integers(field, value):
+    # a fraction is rejected, not truncated; numpy and float integers pass
+    build = COUNT_SETTINGS[field]
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        build(value)
+    build(np.int64(2))
+    build(2.0)
 
 
 def test_run_sweep_pool_never_exceeds_runs(monkeypatch):

@@ -11,7 +11,6 @@ from rwtv import (
     cut_size,
     degree,
     incidence_apply,
-    incidence_norm_sq,
     incidence_transpose_apply,
     is_bipartite,
     is_connected,
@@ -423,16 +422,3 @@ def test_clustered_signal_tv_is_boundary_sum():
         )
         assert total_variation(g, x) == pytest.approx(expected, rel=1e-12)
 
-
-# --------------------------------------------------------------- operator norm
-
-def test_incidence_norm_sq_known_graphs():
-    # single edge: largest Laplacian eigenvalue is 2
-    assert incidence_norm_sq(Graph(2, [(0, 1)])) == pytest.approx(2.0, rel=1e-6)
-    # triangle: largest Laplacian eigenvalue is 3
-    assert incidence_norm_sq(triangle()) == pytest.approx(3.0, rel=1e-6)
-
-
-@given(graphs(min_edges=1))
-def test_incidence_norm_sq_bounded_by_twice_max_degree(g):
-    assert incidence_norm_sq(g, iterations=80) <= 2.0 * g.max_degree * (1 + 1e-9)
