@@ -14,11 +14,9 @@ import numpy as np
 __all__ = [
     "Graph",
     "Partition",
-    "degree",
     "incidence_apply",
     "incidence_transpose_apply",
     "total_variation",
-    "boundary_edges",
     "cut_size",
     "clustered_signal",
     "is_connected",
@@ -182,11 +180,6 @@ class Partition:
     def cluster_count(self):
         return len(self.clusters)
 
-    def cluster_of(self, i):
-        if not 0 <= i < self.node_count:
-            raise ValueError(f"node id {i} out of range")
-        return int(self.labels[i])
-
     def __repr__(self):
         return (
             f"Partition(node_count={self.node_count}, "
@@ -237,15 +230,27 @@ def _check_partition(g, part):
         )
 
 
-def degree(g, i):
-    """Number of neighbors of node ``i``."""
-    return int(g.degrees[_check_node(g, i)])
+def _d(x, tails, heads):
+    """The incidence operator D: signed edge differences ``x[head] - x[tail]``.
+
+    Unchecked; :func:`incidence_apply` and the solver both run it.
+    """
+    return x[heads] - x[tails]
+
+
+def _dt(y, tails, heads, n):
+    """The adjoint Dᵀ of :func:`_d`: accumulate edge values onto ``n`` nodes.
+
+    Unchecked; :func:`incidence_transpose_apply` and the solver both run it.
+    """
+    out = np.bincount(heads, weights=y, minlength=n)
+    out -= np.bincount(tails, weights=y, minlength=n)
+    return out
 
 
 def incidence_apply(g, x):
     """Signed edge differences ``x[head] - x[tail]`` for every edge."""
-    x = _check_signal(x, g.node_count, "signal")
-    return x[g.heads] - x[g.tails]
+    return _d(_check_signal(x, g.node_count, "signal"), g.tails, g.heads)
 
 
 def incidence_transpose_apply(g, y):
@@ -254,23 +259,13 @@ def incidence_transpose_apply(g, y):
     ``out[i] = sum(y[e] for e with head e = i) - sum(y[e] for e with tail e = i)``.
     """
     y = _check_signal(y, g.edge_count, "edge signal")
-    n = g.node_count
-    out = np.bincount(g.heads, weights=y, minlength=n)
-    out -= np.bincount(g.tails, weights=y, minlength=n)
-    return out
+    return _dt(y, g.tails, g.heads, g.node_count)
 
 
 def total_variation(g, x):
     """Sum of absolute signal differences across edges: the entrywise
     1-norm of :func:`incidence_apply` output."""
     return float(np.abs(incidence_apply(g, x)).sum())
-
-
-def boundary_edges(g, part):
-    """Indices of edges whose endpoints lie in different clusters, ascending."""
-    _check_partition(g, part)
-    la = part.labels
-    return np.flatnonzero(la[g.tails] != la[g.heads])
 
 
 def cut_size(g, part, cluster_id):
@@ -285,7 +280,7 @@ def cut_size(g, part, cluster_id):
 
 
 def clustered_signal(part, coefficients):
-    """Piecewise-constant signal: ``x[i] = coefficients[cluster_of(i)]``."""
+    """Piecewise-constant signal: ``x[i] = coefficients[part.labels[i]]``."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
     if coefficients.shape != (part.cluster_count,):
         raise ValueError(

@@ -33,7 +33,6 @@ __all__ = [
     "random_walk",
     "random_walk_sampling",
     "uniform_sampling",
-    "stationary_distribution",
     "check_nullspace_condition",
 ]
 
@@ -114,9 +113,7 @@ def random_walk(g, seed_node, length, rng):
     entries, the first being ``seed_node``.
     """
     v = _check_node(g, seed_node)
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"walk length must be >= 1, got {length}")
+    length = _check_count(length, "walk length")
     gen = as_generator(rng)
     path = np.empty(length, dtype=np.int64)
     path[0] = v
@@ -177,21 +174,12 @@ def random_walk_sampling(g, cfg, rng):
 
 def uniform_sampling(g, budget, rng):
     """Baseline: ``budget`` distinct nodes drawn uniformly without replacement."""
-    budget = int(budget)
-    if budget < 1:
-        raise ValueError(f"sampling budget must be >= 1, got {budget}")
+    budget = _check_count(budget, "sampling budget")
     if budget > g.node_count:
         raise ValueError(f"budget {budget} exceeds node count {g.node_count}")
     gen = as_generator(rng)
     nodes = gen.choice(g.node_count, size=budget, replace=False)
     return SamplingSet(nodes=nodes)
-
-
-def stationary_distribution(g):
-    """Long-run visit probabilities of the walk: degree over twice the edge count."""
-    if g.edge_count == 0:
-        raise ValueError("stationary distribution undefined on an edgeless graph")
-    return g.degrees / (2.0 * g.edge_count)
 
 
 def check_nullspace_condition(g, part, m):

@@ -7,7 +7,11 @@ family, known in this setting as sparse label propagation): a dual edge
 variable is updated through the incidence operator and projected onto
 the unit box, the primal node variable takes a gradient step through the
 adjoint and is then overwritten with the observations on sampled nodes,
-and an over-relaxed copy feeds the next dual step.
+and an over-relaxed copy feeds the next dual step. The incidence
+operator D, its adjoint Dᵀ and the box projection are shared with the
+public operators: :func:`~rwtv.graph.incidence_apply`,
+:func:`~rwtv.graph.incidence_transpose_apply` and :func:`clip` are their
+checked forms.
 
 The iteration takes diagonal steps (Pock and Chambolle, ICCV 2011:
 ``1 / degree`` per node, ``1 / 2`` per edge) and keeps running averages
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _check_count, _check_signal
+from .graph import _check_count, _check_signal, _d, _dt
 
 __all__ = ["SlpConfig", "SlpResult", "clip", "slp_recover", "nmse"]
 
@@ -107,8 +111,18 @@ class SlpResult:
 
 
 def clip(y):
-    """Entrywise projection of an edge signal onto [-1, 1]."""
-    return np.clip(np.asarray(y, dtype=np.float64), -1.0, 1.0)
+    """Entrywise projection of an edge signal onto [-1, 1], on a copy."""
+    return _box(np.array(y, dtype=np.float64))
+
+
+def _box(y):
+    """Project the float array ``y`` onto [-1, 1] in place and return it.
+
+    Unchecked; :func:`clip` and the solver's dual step both run it.
+    """
+    np.minimum(y, 1.0, out=y)
+    np.maximum(y, -1.0, out=y)
+    return y
 
 
 def slp_recover(g, m, samples, cfg=None):
@@ -186,7 +200,7 @@ def _recover_batch(problems, cfg):
     def certify(v, r):
         """Each live problem's total variation of the node signal ``v`` and
         the lower bound from the dual whose adjoint image is ``r``."""
-        tv = np.add.reduceat(np.abs(v[heads] - v[tails]), edge_offsets)
+        tv = np.add.reduceat(np.abs(_d(v, tails, heads)), edge_offsets)
         t = np.minimum(lo_n * r, hi_n * r)
         t[nodes] = samples * r[nodes]
         return tv, np.add.reduceat(t, offsets)
@@ -212,11 +226,9 @@ def _recover_batch(problems, cfg):
         n = x.size
 
         while True:
-            y += step_y * (z[heads] - z[tails])
-            np.minimum(y, 1.0, out=y)
-            np.maximum(y, -1.0, out=y)
-            grad = np.bincount(heads, weights=y, minlength=n)
-            grad -= np.bincount(tails, weights=y, minlength=n)
+            y += step_y * _d(z, tails, heads)
+            _box(y)
+            grad = _dt(y, tails, heads, n)
             x_next = x - step_x * grad
             x_next[nodes] = samples
             z = 2.0 * x_next - x
@@ -226,12 +238,10 @@ def _recover_batch(problems, cfg):
             y_avg += (y - y_avg) / (k - start_e)
             if k % _CHECK_EVERY and k != cfg.max_iterations:
                 continue
-            # the last pair's dual image is grad; the averaged one's takes a
-            # bincount pair
+            # the last pair's dual image is grad; the averaged one's is
+            # computed here
             tv_x, bound_x = certify(x, grad)
-            r = np.bincount(heads, weights=y_avg, minlength=n)
-            r -= np.bincount(tails, weights=y_avg, minlength=n)
-            tv_a, bound_a = certify(avg, r)
+            tv_a, bound_a = certify(avg, _dt(y_avg, tails, heads, n))
             tv, bound = np.minimum(tv_a, tv_x), np.maximum(bound_a, bound_x)
             done = tv - bound <= cfg.gap_tol * np.maximum(tv, floor[ids])
             if k == cfg.max_iterations:

@@ -22,7 +22,6 @@ __all__ = [
     "generate_appm",
     "expected_degree",
     "expected_cut_size",
-    "sampling_probability_estimate",
     "random_clustered_signal",
 ]
 
@@ -111,20 +110,6 @@ def expected_cut_size(spec, cluster_id):
     r = spec._check_cluster(cluster_id)
     n_r = spec.cluster_sizes[r]
     return spec.q_inter * n_r * (spec.node_count - n_r)
-
-
-def sampling_probability_estimate(spec, cluster_id):
-    """Model-level estimate of the long-walk endpoint probability for one node
-    of the given cluster: its expected degree over the expected degree sum,
-    which is twice the expected edge count.
-    """
-    degree = expected_degree(spec, cluster_id)
-    total = sum(
-        n_s * expected_degree(spec, s) for s, n_s in enumerate(spec.cluster_sizes)
-    )
-    if total <= 0.0:
-        raise ValueError("degenerate model: expected edge count is zero")
-    return degree / total
 
 
 def random_clustered_signal(part, rng):

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import rwtv.experiments
-from rwtv import AppmSpec, RngSeed, SamplingBudgetError, SlpConfig, WalkConfig
+from rwtv import (
+    AppmSpec,
+    Graph,
+    RngSeed,
+    SamplingBudgetError,
+    SlpConfig,
+    WalkConfig,
+    random_walk,
+    uniform_sampling,
+)
 from rwtv.experiments import (
     TrialRow,
     TrialSpec,
@@ -179,14 +188,24 @@ def test_run_sweep_rejects_workers_below_one(workers):
         run_sweep(spec, [spec.walk], workers=workers)
 
 
-# each whole-number setting, built from one value; a sweep of one trial runs
-# in one chunk, so no worker process starts
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+
+# the calls that take each whole-number setting, built from one value; a
+# sweep of one trial runs in one chunk, so no worker process starts
 COUNT_SETTINGS = {
-    "max_iterations": lambda v: SlpConfig(max_iterations=v),
-    "walk length": lambda v: WalkConfig(length=v, budget=2),
-    "sampling budget": lambda v: WalkConfig(length=3, budget=v),
-    "runs": lambda v: small_spec(runs=v),
-    "workers": lambda v: run_sweep(small_spec(runs=1), [WalkConfig(6, 5)], workers=v),
+    "max_iterations": [lambda v: SlpConfig(max_iterations=v)],
+    "walk length": [
+        lambda v: WalkConfig(length=v, budget=2),
+        lambda v: random_walk(PATH3, 0, v, RngSeed(0)),
+    ],
+    "sampling budget": [
+        lambda v: WalkConfig(length=3, budget=v),
+        lambda v: uniform_sampling(PATH3, v, RngSeed(0)),
+    ],
+    "runs": [lambda v: small_spec(runs=v)],
+    "workers": [
+        lambda v: run_sweep(small_spec(runs=1), [WalkConfig(6, 5)], workers=v)
+    ],
 }
 
 
@@ -194,11 +213,11 @@ COUNT_SETTINGS = {
 @pytest.mark.parametrize("field", sorted(COUNT_SETTINGS))
 def test_count_settings_reject_non_integers(field, value):
     # a fraction is rejected, not truncated; numpy and float integers pass
-    build = COUNT_SETTINGS[field]
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        build(value)
-    build(np.int64(2))
-    build(2.0)
+    for build in COUNT_SETTINGS[field]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            build(value)
+        build(np.int64(2))
+        build(2.0)
 
 
 def test_run_sweep_pool_never_exceeds_runs(monkeypatch):

@@ -19,3 +19,38 @@ def test_every_exported_name_resolves():
     ]
     assert len(modules) > 5
     assert missing == []
+
+
+def test_public_surface_is_pinned():
+    # adding or removing an export is an edit here
+    assert sorted(rwtv.__all__) == [
+        "AppmSpec",
+        "Graph",
+        "NullspaceReport",
+        "NullspaceViolation",
+        "Partition",
+        "RngSeed",
+        "SamplingBudgetError",
+        "SamplingSet",
+        "SlpConfig",
+        "SlpResult",
+        "WalkConfig",
+        "check_nullspace_condition",
+        "clip",
+        "clustered_signal",
+        "cut_size",
+        "expected_cut_size",
+        "expected_degree",
+        "generate_appm",
+        "incidence_apply",
+        "incidence_transpose_apply",
+        "is_bipartite",
+        "is_connected",
+        "nmse",
+        "random_clustered_signal",
+        "random_walk",
+        "random_walk_sampling",
+        "slp_recover",
+        "total_variation",
+        "uniform_sampling",
+    ]

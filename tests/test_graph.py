@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from rwtv import (
     Graph,
     Partition,
-    boundary_edges,
     clustered_signal,
     cut_size,
-    degree,
     incidence_apply,
     incidence_transpose_apply,
     is_bipartite,
@@ -66,7 +64,7 @@ def test_node_count_beyond_int64_edge_keys_rejected():
         (lambda: Partition([]), "nonempty 1-d"),
         (lambda: Partition([-1, 0]), "nonnegative"),
         (lambda: Partition.from_sizes([2, 0]), "sizes must be positive"),
-        (lambda: Partition([0, 1]).cluster_of(2), "out of range"),
+        (lambda: triangle().neighbors(3), "out of range"),
     ],
 )
 def test_invalid_graph_and_partition_input_rejected(call, message):
@@ -76,7 +74,7 @@ def test_invalid_graph_and_partition_input_rejected(call, message):
 
 def test_isolated_nodes_allowed():
     g = Graph(5, [(0, 1)])
-    assert degree(g, 4) == 0
+    assert g.degrees[4] == 0
 
 
 def test_graph_immutable():
@@ -204,22 +202,17 @@ def test_adjacency_symmetric_and_degree_sum(g):
 # -------------------------------------------------------------------- degree
 
 def test_degree_complete_graph():
-    assert degree(triangle(), 0) == 2
-    assert degree(triangle(), 2) == 2
+    assert triangle().degrees[0] == 2
+    assert triangle().degrees[2] == 2
 
 
 def test_degree_single_node():
-    assert degree(Graph(1, []), 0) == 0
+    assert Graph(1, []).degrees[0] == 0
 
 
 def test_degree_path_midpoint():
     g = Graph(3, [(0, 1), (1, 2)])
-    assert degree(g, 1) == 2
-
-
-def test_degree_out_of_range():
-    with pytest.raises(ValueError):
-        degree(triangle(), 3)
+    assert g.degrees[1] == 2
 
 
 # ----------------------------------------------------------------- incidence
@@ -335,28 +328,6 @@ def test_partition_from_sizes():
     part = Partition.from_sizes([2, 3])
     assert part.labels.tolist() == [0, 0, 1, 1, 1]
     assert [c.tolist() for c in part.clusters] == [[0, 1], [2, 3, 4]]
-    assert part.cluster_of(4) == 1
-
-
-def test_boundary_edges_single_cluster_empty():
-    g = triangle()
-    assert boundary_edges(g, Partition([0, 0, 0])).size == 0
-
-
-def test_boundary_edges_bridge():
-    g, part = two_triangles_with_bridge()
-    idx = boundary_edges(g, part)
-    assert g.edges[idx].tolist() == [[2, 3]]
-
-
-def test_boundary_edges_k22_all_cross():
-    g, part = k22()
-    assert boundary_edges(g, part).tolist() == [0, 1, 2, 3]
-
-
-def test_boundary_edges_partition_mismatch():
-    with pytest.raises(ValueError, match="partition covers"):
-        boundary_edges(triangle(), Partition([0, 0]))
 
 
 def test_cut_size_single_cluster():
@@ -375,6 +346,11 @@ def test_cut_size_k22():
     assert cut_size(g, part, 1) == 4
 
 
+def test_cut_size_partition_mismatch():
+    with pytest.raises(ValueError, match="partition covers"):
+        cut_size(triangle(), Partition([0, 0]), 0)
+
+
 def test_cut_size_unknown_cluster():
     g, part = k22()
     with pytest.raises(ValueError, match="unknown cluster"):
@@ -390,7 +366,8 @@ def test_cut_sizes_sum_to_twice_boundary(g, data):
     )
     part = Partition(labels)
     total = sum(cut_size(g, part, c) for c in range(part.cluster_count))
-    assert total == 2 * boundary_edges(g, part).size
+    boundary = np.flatnonzero(part.labels[g.tails] != part.labels[g.heads])
+    assert total == 2 * boundary.size
 
 
 # ------------------------------------------------------------ clustered signal
@@ -418,7 +395,9 @@ def test_clustered_signal_tv_is_boundary_sum():
         x = clustered_signal(part, a)
         expected = sum(
             abs(a[part.labels[t]] - a[part.labels[h]])
-            for t, h in g.edges[boundary_edges(g, part)]
+            for t, h in g.edges[
+                np.flatnonzero(part.labels[g.tails] != part.labels[g.heads])
+            ]
         )
         assert total_variation(g, x) == pytest.approx(expected, rel=1e-12)
 

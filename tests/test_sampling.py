@@ -19,8 +19,6 @@ from rwtv import (
     generate_appm,
     random_walk,
     random_walk_sampling,
-    sampling_probability_estimate,
-    stationary_distribution,
     uniform_sampling,
 )
 from strategies import graphs, partitions
@@ -274,28 +272,6 @@ def test_uniform_deterministic():
     assert len(m1) == 10
 
 
-# --------------------------------------------------- stationary distribution
-
-def test_stationary_uniform_on_complete_graph():
-    pi = stationary_distribution(complete_graph(5))
-    assert pi == pytest.approx(np.full(5, 0.2))
-
-
-def test_stationary_star():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert stationary_distribution(g).tolist() == [0.5, 1 / 6, 1 / 6, 1 / 6]
-
-
-@given(graphs(min_edges=1))
-def test_stationary_sums_to_one(g):
-    assert stationary_distribution(g).sum() == pytest.approx(1.0)
-
-
-def test_stationary_edgeless_rejected():
-    with pytest.raises(ValueError, match="edgeless"):
-        stationary_distribution(Graph(3, []))
-
-
 # ------------------------------------------------------- nullspace condition
 
 def brute_force_violations(g, part, m):
@@ -385,28 +361,3 @@ def test_adding_samples_never_breaks_satisfied(g, data):
         grown = sorted(base | extra)
         m2 = SamplingSet(nodes=np.array(grown))
         assert check_nullspace_condition(g, part, m2).satisfied
-
-
-# ------------------------------------------------- model sampling probability
-
-def test_single_cluster_probability_is_uniform():
-    spec = AppmSpec((20,), 0.4, 0.0)
-    assert sampling_probability_estimate(spec, 0) == pytest.approx(1 / 20)
-
-
-def test_probability_increases_with_cluster_size():
-    probs = [sampling_probability_estimate(BENCH, c) for c in range(4)]
-    assert all(a < b for a, b in zip(probs, probs[1:]))
-
-
-def test_probabilities_weighted_by_sizes_sum_to_one():
-    total = sum(
-        sampling_probability_estimate(BENCH, c) * BENCH.cluster_sizes[c]
-        for c in range(4)
-    )
-    assert total == pytest.approx(1.0, rel=1e-12)
-
-
-def test_degenerate_spec_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        sampling_probability_estimate(AppmSpec((5, 5), 0.0, 0.0), 0)

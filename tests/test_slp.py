@@ -71,6 +71,15 @@ def test_clip_idempotent_and_bounded(values):
     assert np.array_equal(clip(once), once)
 
 
+def test_clip_leaves_its_input_unchanged():
+    # clip projects in place on a copy; a float64 input would alias without it
+    y = np.array([0.5, -0.25, 1.0, -1.0, 2.0, -3.0, np.inf, -np.inf, -0.0, np.nan])
+    before = y.tobytes()
+    out = clip(y)
+    assert y.tobytes() == before
+    assert out.tobytes() == np.clip(y, -1.0, 1.0).tobytes()
+
+
 # ----------------------------------------------------------------- iteration
 
 def test_fully_sampled_returns_samples_exactly():
