@@ -51,6 +51,8 @@ from .sampling import (
 from .slp import SlpConfig, nmse, slp_recover
 from .synth import AppmSpec, generate_appm, random_clustered_signal
 
+log = logging.getLogger(__name__)
+
 
 def _atomic_write(path, writer):
     path = Path(path)
@@ -158,6 +160,14 @@ def _cmd_recover(args):
     result = slp_recover(g, m, observed, cfg)
     _atomic_write(args.out, lambda fh: write_signal(result.recovered, fh))
     print(f"recovered in {result.iterations_run} iterations")
+    if result.stop_reason == "cap":
+        log.warning(
+            "stopped at --max-iter %d with a certified relative gap of %.3g, "
+            "above --tol %g",
+            result.iterations_run,
+            result.gap,
+            cfg.gap_tol,
+        )
     if truth is not None:
         print(f"NMSE {nmse(result.recovered, truth):.17g}")
     return 0

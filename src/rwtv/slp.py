@@ -23,6 +23,18 @@ iterate. At the same checks it restarts the iteration from the
 primal-dual pair with the smaller gap, by the rules of PDLP (Applegate
 et al., NeurIPS 2021).
 
+Also as in PDLP, each problem carries a primal weight ``w``, which starts
+at 1: its steps are ``1 / (w degree)`` per node and ``w / 2`` per edge,
+whose product does not depend on ``w``, so the steps stay stable. At a
+restart, the primal and the dual restart points' distances from the last
+restart point are measured in the norms of the unweighted steps
+(``sqrt(sum(degree * dx**2))`` and ``sqrt(sum(2 * dy**2))``), and ``w``
+moves halfway to their ratio in log scale: ``log w`` becomes the mean of
+``log w`` and ``log(dual distance / primal distance)``, unless either
+distance is at most 1e-10. The first restart point is the observations
+on the sampled nodes, 0 elsewhere, with a zero dual, so that the
+observations' first overwrite does not count as movement.
+
 The bound needs no projection of the dual. Clipping a signal to
 ``[lo, hi]``, the smallest and largest observed values, raises no edge
 difference, so some minimizer lies in that box. Hence for any edge
@@ -65,6 +77,11 @@ _SUFFICIENT, _NECESSARY, _ARTIFICIAL = 0.2, 0.8, 0.36
 # so that a problem whose optimum is 0 (one sample, or all samples equal)
 # stops by the gap too.
 _GAP_FLOOR = 1e-6
+# PDLP's primal weight update: at a restart, the weight moves by this share
+# of the way, in log scale, to the ratio of the dual to the primal movement
+# since the last restart; it stays put if either movement is at most
+# _MIN_MOVE.
+_THETA, _MIN_MOVE = 0.5, 1e-10
 # Diagonal primal step of a node without edges. Its gradient is always 0,
 # so any finite value leaves it at its start (0) or its observation.
 _ISOLATED_STEP = 1.0
@@ -101,13 +118,17 @@ class SlpResult:
     variation, from a dual iterate, and ``gap`` is the certified relative
     gap of the recovered signal: its total variation minus the bound,
     divided by the larger of that total variation and ``1e-6`` times the
-    largest absolute observed value (0 when both are 0).
+    largest absolute observed value (0 when both are 0). ``stop_reason``
+    is ``"gap"`` if the iteration stopped because that gap met
+    :attr:`SlpConfig.gap_tol`, and ``"cap"`` if it ran into
+    :attr:`SlpConfig.max_iterations` first.
     """
 
     recovered: np.ndarray
     iterations_run: int
     gap: float
     lower_bound: float
+    stop_reason: str
 
 
 def clip(y):
@@ -148,7 +169,10 @@ def slp_recover(g, m, samples, cfg=None):
     Notes
     -----
     The diagonal steps meet the stability condition of Pock and
-    Chambolle's diagonal preconditioning. The iteration is deterministic.
+    Chambolle's diagonal preconditioning, whatever the primal weight that
+    re-balances them at each restart (PDLP's update with ``theta = 1/2``,
+    from a first restart point at the observations; see the module
+    docstring). The iteration is deterministic.
     When the recovery condition fails the minimizer may be non-unique;
     the solver then returns whatever the iteration converges to.
 
@@ -192,10 +216,21 @@ def _recover_batch(problems, cfg):
     start = np.zeros(len(problems), dtype=np.int64)
     restart_gap = np.full(len(problems), np.inf)
     last_gap = np.full(len(problems), np.inf)
+    # per problem: its primal weight, which divides its primal steps and
+    # multiplies its dual steps
+    omega = np.ones(len(problems))
     ids = np.arange(len(problems))
     results = [None] * len(problems)
-    x, z, avg = np.zeros((3, sum(g.node_count for g, _, _ in problems)))
-    y, y_avg = np.zeros((2, sum(g.edge_count for g, _, _ in problems)))
+    # x_r and y_r: the point of the last restart (the anchor)
+    x, z, avg, x_r = np.zeros((4, sum(g.node_count for g, _, _ in problems)))
+    y, y_avg, y_r = np.zeros((3, sum(g.edge_count for g, _, _ in problems)))
+
+    def weighted_steps():
+        """The live problems' steps under their primal weights."""
+        return (
+            base_x / np.repeat(omega[ids], counts),
+            base_y * np.repeat(omega[ids], edge_counts),
+        )
 
     def certify(v, r):
         """Each live problem's total variation of the node signal ``v`` and
@@ -219,8 +254,12 @@ def _recover_batch(problems, cfg):
         heads = np.concatenate([g.heads + o for (g, _, _), o in zip(live, offsets)])
         nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(live, offsets)])
         samples = np.concatenate([values[b] for b in ids])
-        step_x = np.concatenate([steps[b][0] for b in ids])
-        step_y = np.concatenate([steps[b][1] for b in ids])
+        base_x = np.concatenate([steps[b][0] for b in ids])
+        base_y = np.concatenate([steps[b][1] for b in ids])
+        step_x, step_y = weighted_steps()
+        if k == 0:
+            # the first anchor: the observations on sampled nodes, 0 elsewhere
+            x_r[nodes] = samples
         lo_n, hi_n = np.repeat(lo[ids], counts), np.repeat(hi[ids], counts)
         start_n, start_e = np.repeat(start[ids], counts), np.repeat(start[ids], edge_counts)
         n = x.size
@@ -243,9 +282,8 @@ def _recover_batch(problems, cfg):
             tv_x, bound_x = certify(x, grad)
             tv_a, bound_a = certify(avg, _dt(y_avg, tails, heads, n))
             tv, bound = np.minimum(tv_a, tv_x), np.maximum(bound_a, bound_x)
-            done = tv - bound <= cfg.gap_tol * np.maximum(tv, floor[ids])
-            if k == cfg.max_iterations:
-                done[:] = True
+            met = tv - bound <= cfg.gap_tol * np.maximum(tv, floor[ids])
+            done = met | (k == cfg.max_iterations)
             # restart the others at the pair with the smaller gap of its own
             gap_a, gap_x = tv_a - bound_a, tv_x - bound_x
             gap = np.minimum(gap_a, gap_x)
@@ -261,10 +299,27 @@ def _recover_batch(problems, cfg):
                 to_avg = restart & (gap_a < gap_x)
                 x = np.where(np.repeat(to_avg, counts), avg, x)
                 y = np.where(np.repeat(to_avg, edge_counts), y_avg, y)
+                # re-balance the steps by the movement from the anchor, in
+                # the norms of the base steps
+                dx, dy = x - x_r, y - y_r
+                move_x = np.sqrt(np.add.reduceat(dx * dx / base_x, offsets))
+                move_y = np.sqrt(np.add.reduceat(dy * dy / base_y, edge_offsets))
+                tune = restart & (move_x > _MIN_MOVE) & (move_y > _MIN_MOVE)
+                w = omega[ids[tune]]
+                tuned = np.exp(
+                    _THETA * np.log(move_y[tune] / move_x[tune])
+                    + (1.0 - _THETA) * np.log(w)
+                )
+                if np.any(tuned != w):
+                    omega[ids[tune]] = tuned
+                    step_x, step_y = weighted_steps()
                 node_reset = np.repeat(restart, counts)
+                edge_reset = np.repeat(restart, edge_counts)
                 z = np.where(node_reset, x, z)
                 avg = np.where(node_reset, x, avg)
-                y_avg = np.where(np.repeat(restart, edge_counts), y, y_avg)
+                x_r = np.where(node_reset, x, x_r)
+                y_avg = np.where(edge_reset, y, y_avg)
+                y_r = np.where(edge_reset, y, y_r)
                 start_n = np.repeat(start[ids], counts)
                 start_e = np.repeat(start[ids], edge_counts)
             if np.count_nonzero(done):
@@ -282,11 +337,12 @@ def _recover_batch(problems, cfg):
                 iterations_run=k,
                 gap=float(gaps[b]),
                 lower_bound=float(bound[b]),
+                stop_reason="gap" if met[b] else "cap",
             )
         # carry the survivors' iterates over to the next layout
         keep, edge_keep = np.repeat(~done, counts), np.repeat(~done, edge_counts)
-        x, z, avg = x[keep], z[keep], avg[keep]
-        y, y_avg = y[edge_keep], y_avg[edge_keep]
+        x, z, avg, x_r = x[keep], z[keep], avg[keep], x_r[keep]
+        y, y_avg, y_r = y[edge_keep], y_avg[edge_keep], y_r[edge_keep]
         ids = ids[~done]
 
     return results

@@ -439,16 +439,16 @@ def experiment_digests(tmp_path, capsys, which, runs):
 # promised.
 PINNED_CERTIFIED_EXPERIMENT_FILES = {
     "table1": {
-        "table1_summary.csv": "5aa6aa2f3fdad35f0bec9cc2a0f3fb853fba9e6cb71ec9624d911fb2133a7a15",
-        "table1_trials_budget10.csv": "d977200b7e8c1a7aaf21f9b8e084d933823bed3efddb08073c0fd57832fe244f",
-        "table1_trials_budget20.csv": "44c44165452c2a0797399eef208a40283b6c7869dcb9c829a66be34448e09c86",
-        "table1_trials_budget30.csv": "b0fee65ac93604802c2e74cdc8770e3447cbfcaa9dd5edc685f439b977640abd",
-        "table1_trials_budget40.csv": "b8d76c85b5046c3f05046ce24c0f7d9eeb667cc0da4c10fd3f26b1951b332bfa",
-        "table1_trials_budget50.csv": "6d4a1c1d68c66fd52506085f8147e18ed310042386509e55c7238e1f11f14175",
+        "table1_summary.csv": "ba51f544b1df2838248dd6a1770a1e5e1377625eedf571e0450b9a9297a3d4fb",
+        "table1_trials_budget10.csv": "01a2290e67ed0e58a43ec4698c038862c2cff33a60c0b7a8ccd7c9735faf982d",
+        "table1_trials_budget20.csv": "e8a0fb63afee4eea9e003f775865200febebfb095ee143a895fb2e1179767b70",
+        "table1_trials_budget30.csv": "64ad6c8d8171e5c8a06e5ab04e5765ad5ed61a55fe315b217527418af654577a",
+        "table1_trials_budget40.csv": "5e6baa130b164ae1cac2ae9641b807680cd783154e716eca91b666a3a17e7026",
+        "table1_trials_budget50.csv": "74ea1f777054d1f27169715369c519e0358f65af1c204487982f0822f51ce415",
     },
     "clusterstats": {
         "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
-        "clusterstats_trials.csv": "82f8a0bfee25d00d39cabbb0f6538950a9324300ea729ecd4f1ab82e94f045a2",
+        "clusterstats_trials.csv": "77d79a39327a5ab3de814edd77c5d63e98047327699dbc6c7a9b92b1561c4c7a",
     },
 }
 
@@ -464,12 +464,12 @@ def test_seeded_certified_experiment_files_are_pinned(tmp_path, capsys, which):
 # walker does most of the drawing. Recorded with the same numpy build as
 # PINNED_CERTIFIED_EXPERIMENT_FILES.
 PINNED_CERTIFIED_TABLE2_FILES = {
-    "table2_summary.csv": "604170986c48d75c068619ca7a20a8d2ab4fd4e2421108b04e62ab4974f03c02",
-    "table2_trials_walk_length20.csv": "e772c72268574e110b0bb78a4a9ce4dfde11aacfbc023651441e7026bc1824e2",
-    "table2_trials_walk_length40.csv": "13af9e59ad6bbffceeeb1e55c2db320bd9f34d22a7a59c773e5a3e05a8c11c46",
-    "table2_trials_walk_length80.csv": "8f2a65569269ab0ac91a26de2c03cee6f068caa22575686f2799a8c6a6796eff",
-    "table2_trials_walk_length160.csv": "656d6b69e9137560c1d2ee58aeff61678d6fdcd184c89018eeae5ca88c968e5c",
-    "table2_trials_walk_length320.csv": "8f0fc7b6a39a6e39a856ecb5b0dcd8354ba9ca377d4a99745e928b8c81989ef1",
+    "table2_summary.csv": "284350b6847a0ad12c660f6094e5dc2bc0c859634c31270f4886348c505c802f",
+    "table2_trials_walk_length20.csv": "1d7840d4197c258b17169f13751f2f4dc25f5a34bb56e72c4f057696594cd339",
+    "table2_trials_walk_length40.csv": "81276826f989207418169cb065d840a02948523a8afe081605e99e6abd8b08f5",
+    "table2_trials_walk_length80.csv": "eb070310b8decf4c9995ff97a207b541deb58dbc30c718f8c38a90fba2cb17c0",
+    "table2_trials_walk_length160.csv": "d3799de36aee22c12ad0d438adb43739ccceb4526110212c1d7173a21f03a6c0",
+    "table2_trials_walk_length320.csv": "aa1a4a728aa205631cd1d51775679515fcba3ca0eb947822b846059858099206",
 }
 
 
@@ -541,13 +541,13 @@ PINNED_PIPELINE_FILES = {
         "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "0b30f1da48bc5827a812582a7afc4dc801469665ea0e92de2f3e2084c3c98165",
+        "xhat.csv": "e29b76a3dc3f2b8299492083e11dd4a56c9765a0ac15ebb867a060a5f325c5a3",
     },
     True: {
         "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "ee0d593f7d005866307b60304696dbab2b332dedd397af8fd7a5714e1bec8997",
+        "xhat.csv": "93aae9988f7421447b535e7185d4ce506131b2e5eaaac07970a1b8f4906a7720",
     },
 }
 
@@ -559,6 +559,25 @@ def test_seeded_pipeline_files_are_pinned(tmp_path, capsys, drop_isolated):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
     }
     assert digests == PINNED_PIPELINE_FILES[drop_isolated]
+
+
+def test_recover_warns_when_it_stops_at_the_cap(tmp_path, capsys):
+    out, _ = run_fixture_pipeline(tmp_path, capsys, True)
+    recover = [
+        "recover", "--graph", DATA / "copurchase_graph.txt", "--drop-isolated",
+        "--samples", out / "m.csv", "--signal", tmp_path / "x.csv",
+        "--out", tmp_path / "capped.csv",
+    ]
+    capped = run_cli(*recover, "--max-iter", "10")
+    assert capped.returncode == 0
+    assert capped.stdout.startswith("recovered in 10 iterations\n")
+    warned = [line for line in capped.stderr.splitlines() if "--max-iter" in line]
+    assert warned == [warned[0]] and warned[0].startswith("WARNING stopped at")
+    # the file is written as for a solve that met --tol
+    assert (tmp_path / "capped.csv").exists()
+    # the fixture pipeline's own solve meets --tol and does not warn
+    met = run_cli(*recover, "--max-iter", "5000", "--tol", "1e-5")
+    assert met.returncode == 0 and "--max-iter" not in met.stderr
 
 
 def test_extract_subgraph_writes_map_back_to_source_ids(tmp_path, capsys):

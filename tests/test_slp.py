@@ -158,6 +158,31 @@ def test_deterministic():
 # (budget, trial index, iterations_run, SHA-256 of recovered.tobytes()) of
 # reference trials at seed 7, solved with BENCHMARK_SLP
 PINNED_SOLVES = [
+    (10, 0, 180, "9ea14167fcfde0a4c43e9f2364449aba8ba2d0391eebdf94cf19dfe2d2c3764c"),
+    (10, 1, 250, "df81d2185e30efb273ec114941baf4cbcd370c94bf8dc891a6db2e8fe001aecf"),
+    (10, 2, 240, "8d590ecc403c92404ed3a3501a45fbf890c7a6998dc4dfc45213463fee4f6c6f"),
+    (10, 3, 350, "8ea2c73340381160fd32e92318b7425d3875884f14f22735badb887e0559dff6"),
+    (10, 4, 250, "9a7076f6db7579d729158f77fa15a7678ac19355d3227230b717420f512218e6"),
+    (10, 5, 270, "926c4a893fabd09047369cbf35fa448e67282f687f7f5af6fa42495dc0c52334"),
+    (10, 6, 270, "98bbad0c73854aeae99220f58226ac0e81ef1fe3a3005d58ce8b447d08d4ef50"),
+    (10, 7, 230, "a88765e3bffc32d97003183b5b310981256153042ebf6aab9eea4a3cb270363c"),
+    (10, 8, 260, "aae7525163bf792ad3e397eb522732e2e009c4fcb55c23205b888d170727f04f"),
+    (10, 9, 150, "80c5431346c4aedf67152cc007a912095bd8a741cb54051045e5178a6060225b"),
+    (50, 0, 80, "b9a71e176049ddae9a3e172e40fb1c2534491a06864bb42ce9ab0ca7635c24f1"),
+    (50, 1, 100, "b2adac5690d3f3ac0f358b33ca825423d3d3d65a1dda396257fd80cebd7f49e7"),
+    (50, 2, 110, "3825652785935f77abd41207063ff2757cb0534b437229dcf32369b3bffbcf0b"),
+    (50, 3, 100, "7cb138aafee772cf8af6a0ad26e58e81b79f4df32b12d6287849a27055236c4c"),
+    (50, 4, 80, "bcf0d284fc0a4d31fe2201977b978b662fa6d6bd662cb6cc6494ed035cc9edee"),
+    (50, 5, 80, "9cdc4b41ef0d3baf572e49b2f7dd700c7dfdee8fd93645279f846b196f1b27a2"),
+    (50, 6, 140, "f1b2e3fb0e13fdea2dcb29728d4aa792da03b9df840b6bdee1a85fe1a35d5d6a"),
+    (50, 7, 110, "e74a0b664909aac2cbc468acb80ceace98e9c70b8bb60bbf3402eda5e470d62d"),
+    (50, 8, 110, "0984e1afa560bb088ed74b4e17dd109bcd502cb75333ce9401ef8a0d2c004d64"),
+    (50, 9, 80, "efdff1a6c35e5e3b19dd5f982e1dfd93d4a3d172e452b9668c8dab3c592b0105"),
+]
+
+# The same solves with the primal weight held at 1 (no re-balancing): the
+# solver's outputs before it had a primal weight
+FIXED_WEIGHT_SOLVES = [
     (10, 0, 170, "d70bc3631d680180c0b21ae6433c87a478d24477cd740dc5e2414a24a367dcb3"),
     (10, 1, 180, "4b8146a656cb8b46fa93e01a6b68d10df242368ebdde6de97d19134a1d2d0f07"),
     (10, 2, 240, "c3ecb2ebd1162802bf9b31b9252e6d7040b370240d719757a8834f48ab871d5e"),
@@ -192,8 +217,8 @@ def reference_trial(budget, index):
     return g, m, x[m.nodes]
 
 
-def test_seeded_reference_solves_are_pinned():
-    for budget, index, iterations, digest in PINNED_SOLVES:
+def assert_solves_match(table):
+    for budget, index, iterations, digest in table:
         g, m, values = reference_trial(budget, index)
         res = slp_recover(g, m, values, BENCHMARK_SLP)
         assert res.iterations_run == iterations, (budget, index)
@@ -201,6 +226,18 @@ def test_seeded_reference_solves_are_pinned():
             budget,
             index,
         )
+
+
+def test_seeded_reference_solves_are_pinned():
+    assert_solves_match(PINNED_SOLVES)
+
+
+def test_fixed_primal_weight_reproduces_the_unweighted_solves(monkeypatch):
+    # with theta = 0 the weight stays at 1, and the steps are the base steps
+    monkeypatch.setattr("rwtv.slp._THETA", 0.0)
+    assert_solves_match(FIXED_WEIGHT_SOLVES)
+    total = sum(iterations for _, _, iterations, _ in PINNED_SOLVES)
+    assert total < sum(iterations for _, _, iterations, _ in FIXED_WEIGHT_SOLVES)
 
 
 def mixed_batch():
@@ -215,9 +252,9 @@ def mixed_batch():
 
 def test_batch_matches_serial_solves_bit_for_bit():
     # different max degrees (so different steps), different stop
-    # iterations, and trial 3 at budget 10 runs into the cap
+    # iterations, and one problem runs into the cap
     problems = mixed_batch()
-    cfg = SlpConfig(max_iterations=1000, gap_tol=1e-4)
+    cfg = SlpConfig(max_iterations=300, gap_tol=1e-4)
     serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
     batch = _recover_batch(problems, cfg)
     assert [r.iterations_run for r in batch] == [r.iterations_run for r in serial]
@@ -251,6 +288,12 @@ def test_certified_batch_matches_serial_solves_bit_for_bit(monkeypatch):
     monkeypatch.setattr("rwtv.slp._ARTIFICIAL", np.inf)
     plain = _recover_batch(problems, cfg)
     assert [r.iterations_run for r in plain] != iterations
+    # the batch re-balances its steps: with the weight held at 1, some of
+    # its problems run otherwise
+    monkeypatch.undo()
+    monkeypatch.setattr("rwtv.slp._THETA", 0.0)
+    fixed = _recover_batch(problems, cfg)
+    assert [r.iterations_run for r in fixed] != iterations
 
 
 def test_certified_stops_are_within_gap_tol_of_the_lp_optimum():
@@ -263,6 +306,7 @@ def test_certified_stops_are_within_gap_tol_of_the_lp_optimum():
             tv = total_variation(g, res.recovered)
             assert res.iterations_run < cfg.max_iterations, (budget, index)
             assert res.gap <= cfg.gap_tol, (budget, index)
+            assert res.stop_reason == "gap", (budget, index)
             assert tv <= tv_opt * (1 + cfg.gap_tol), (budget, index)
             # the bound can reach the optimum itself, up to rounding
             assert res.lower_bound <= tv_opt * (1 + 1e-12), (budget, index)
@@ -318,11 +362,20 @@ def test_capped_solves_report_a_valid_certificate():
         _, tv_opt = tv_min_lp(g, m.nodes, values)
         tv = total_variation(g, res.recovered)
         assert res.iterations_run == cfg.max_iterations
+        assert res.stop_reason == ("gap" if res.gap <= cfg.gap_tol else "cap")
         assert res.lower_bound <= tv_opt + 1e-12
         scale = max(tv, 1e-6 * np.abs(values).max())
         assert res.gap == pytest.approx((tv - res.lower_bound) / scale, abs=1e-12)
         gaps.append(res.gap)
     assert max(gaps) > cfg.gap_tol
+
+
+def test_a_solve_stopped_by_the_cap_says_so():
+    g, m, values = reference_trial(10, 0)
+    res = slp_recover(g, m, values, SlpConfig(max_iterations=10))
+    assert res.iterations_run == 10
+    assert res.gap > 1e-3
+    assert res.stop_reason == "cap"
 
 
 def test_empty_batch_recovers_nothing():
