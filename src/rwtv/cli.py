@@ -160,6 +160,7 @@ def _cmd_recover(args):
     result = slp_recover(g, m, observed, cfg)
     _atomic_write(args.out, lambda fh: write_signal(result.recovered, fh))
     print(f"recovered in {result.iterations_run} iterations")
+    print(f"certified gap {result.gap:.3g} (stop: {result.stop_reason})")
     if result.stop_reason == "cap":
         log.warning(
             "stopped at --max-iter %d with a certified relative gap of %.3g, "

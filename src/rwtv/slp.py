@@ -14,14 +14,23 @@ public operators: :func:`~rwtv.graph.incidence_apply`,
 checked forms.
 
 The iteration takes diagonal steps (Pock and Chambolle, ICCV 2011:
-``1 / degree`` per node, ``1 / 2`` per edge) and keeps running averages
-of the primal and the dual iterates. Every 10 iterations it bounds the
-optimum from below with the last and the averaged dual, and stops once
-the smaller total variation of the last and the averaged primal iterate
-is within :attr:`SlpConfig.gap_tol` of the larger bound; it returns that
-iterate. At the same checks it restarts the iteration from the
-primal-dual pair with the smaller gap, by the rules of PDLP (Applegate
-et al., NeurIPS 2021).
+``1 / degree`` per node, ``1 / 2`` per edge) and keeps the sums of the
+primal and the dual iterates since the last restart. Every 10 iterations
+it divides the sums into averages, writes the observations back onto the
+averaged primal's sampled nodes, and bounds the optimum from below with
+the last and the averaged dual. It then has three candidate outputs: the
+last primal iterate, the averaged one, and the one of the two with the
+smaller total variation with each node rounded to the nearest of its
+problem's observed values (the lower one on a tie). By the co-area
+formula some minimizer takes only observed values (Chambolle, EMMCVPR
+2005), so near the optimum the rounding often lands on one. The iteration
+stops once the smallest total variation of the three is within
+:attr:`SlpConfig.gap_tol` of the larger bound, and returns that
+candidate; the rounded one only when its total variation is strictly the
+smallest. At the same checks it restarts the iteration from the last or
+the averaged primal-dual pair, whichever has the smaller gap, by the
+rules of PDLP (Applegate et al., NeurIPS 2021); the rounded candidate
+takes no part in the restarts or in the primal weight below.
 
 Also as in PDLP, each problem carries a primal weight ``w``, which starts
 at 1: its steps are ``1 / (w degree)`` per node and ``w / 2`` per edge,
@@ -48,7 +57,10 @@ One loop solves one problem or many. Many problems are solved as their
 disjoint union: node and edge ids are offset per problem, each problem's
 steps fill its own nodes and edges, and each problem stops and restarts
 on its own, with its sums taken over its own contiguous node and edge
-ranges. Every update is elementwise or sums within one problem in the
+ranges. Its rounding searches its own observed values only: they are
+keyed ``position + 1j * value``, which sort by position in the union
+first, so a node's key is never compared with another problem's values.
+Every update is elementwise or sums within one problem in the
 same order as a lone solve, so each problem's result is bit-identical to
 solving it alone. When a problem stops, its output is copied out and the
 union of the problems still running is laid out afresh from their own
@@ -85,6 +97,8 @@ _THETA, _MIN_MOVE = 0.5, 1e-10
 # Diagonal primal step of a node without edges. Its gradient is always 0,
 # so any finite value leaves it at its start (0) or its observation.
 _ISOLATED_STEP = 1.0
+# Diagonal dual step of every edge.
+_DUAL_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -174,12 +188,16 @@ def slp_recover(g, m, samples, cfg=None):
     from a first restart point at the observations; see the module
     docstring). The iteration is deterministic.
     When the recovery condition fails the minimizer may be non-unique;
-    the solver then returns whatever the iteration converges to.
+    the solver then returns whatever the iteration converges to, or its
+    rounding to the observed values.
 
-    Running averages are maintained incrementally
-    (``avg += (x - avg) / k``), which keeps the accumulator at signal
-    magnitude over long runs and keeps the sampled entries exactly equal
-    to the observations.
+    The averages are the sums of the iterates since the last restart,
+    divided by their count at each check only; the observations are
+    written back onto the averaged primal's sampled nodes, so every
+    candidate output equals the observations there exactly (an observed
+    value rounds to itself). Each problem's dual step, ``w / 2`` on all
+    its edges, scales the over-relaxed iterate on its nodes before the
+    edge differences are taken.
     """
     cfg = SlpConfig() if cfg is None else cfg
     return _recover_batch([(g, m, samples)], cfg)[0]
@@ -189,7 +207,7 @@ def _steps(g):
     """Per-node and per-edge step sizes of one problem."""
     deg = g.degrees
     step_x = np.divide(1.0, deg, out=np.full(deg.size, _ISOLATED_STEP), where=deg > 0)
-    return step_x, np.full(g.edge_count, 0.5)
+    return step_x, np.full(g.edge_count, _DUAL_STEP)
 
 
 def _recover_batch(problems, cfg):
@@ -207,9 +225,10 @@ def _recover_batch(problems, cfg):
             raise ValueError("sampling set must be nonempty")
         m.mask(g.node_count)
         values.append(_check_signal(samples, len(m), "sample values"))
-    steps = [_steps(g) for g, _, _ in problems]
-    lo = np.array([v.min() for v in values])
-    hi = np.array([v.max() for v in values])
+    base_steps = [_steps(g)[0] for g, _, _ in problems]
+    levels = [np.unique(v) for v in values]
+    lo = np.array([v[0] for v in levels])
+    hi = np.array([v[-1] for v in levels])
     floor = _GAP_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
     # per problem: the iteration of its last restart, its gap then, and its
     # gap at the previous check since (inf right after a restart)
@@ -221,24 +240,35 @@ def _recover_batch(problems, cfg):
     omega = np.ones(len(problems))
     ids = np.arange(len(problems))
     results = [None] * len(problems)
+    # x_sum and y_sum: the sums of the iterates since the last restart;
     # x_r and y_r: the point of the last restart (the anchor)
-    x, z, avg, x_r = np.zeros((4, sum(g.node_count for g, _, _ in problems)))
-    y, y_avg, y_r = np.zeros((3, sum(g.edge_count for g, _, _ in problems)))
+    x, z, x_sum, x_r = np.zeros((4, sum(g.node_count for g, _, _ in problems)))
+    y, y_sum, y_r = np.zeros((3, sum(g.edge_count for g, _, _ in problems)))
 
     def weighted_steps():
-        """The live problems' steps under their primal weights."""
-        return (
-            base_x / np.repeat(omega[ids], counts),
-            base_y * np.repeat(omega[ids], edge_counts),
-        )
+        """The live problems' primal steps under their primal weights, and
+        their dual steps, which are constant per problem, on their nodes."""
+        w = np.repeat(omega[ids], counts)
+        return base_x / w, _DUAL_STEP * w
 
-    def certify(v, r):
-        """Each live problem's total variation of the node signal ``v`` and
-        the lower bound from the dual whose adjoint image is ``r``."""
-        tv = np.add.reduceat(np.abs(_d(v, tails, heads)), edge_offsets)
+    def tv_of(v):
+        """Each live problem's total variation of the node signal ``v``."""
+        return np.add.reduceat(np.abs(_d(v, tails, heads)), edge_offsets)
+
+    def bound_of(r):
+        """Each live problem's lower bound from the dual whose adjoint image
+        is ``r``."""
         t = np.minimum(lo_n * r, hi_n * r)
         t[nodes] = samples * r[nodes]
-        return tv, np.add.reduceat(t, offsets)
+        return np.add.reduceat(t, offsets)
+
+    def rounded(v):
+        """``v`` with each node's value replaced by the nearest of its own
+        problem's observed values (the lower one on a tie)."""
+        i = np.searchsorted(level_keys, owner + 1j * v)
+        below = level_values[np.maximum(i - 1, first_level)]
+        above = level_values[np.minimum(i, last_level)]
+        return np.where(above - v < v - below, above, below)
 
     k = 0
     while ids.size:
@@ -254,34 +284,54 @@ def _recover_batch(problems, cfg):
         heads = np.concatenate([g.heads + o for (g, _, _), o in zip(live, offsets)])
         nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(live, offsets)])
         samples = np.concatenate([values[b] for b in ids])
-        base_x = np.concatenate([steps[b][0] for b in ids])
-        base_y = np.concatenate([steps[b][1] for b in ids])
+        base_x = np.concatenate([base_steps[b] for b in ids])
         step_x, step_y = weighted_steps()
         if k == 0:
             # the first anchor: the observations on sampled nodes, 0 elsewhere
             x_r[nodes] = samples
         lo_n, hi_n = np.repeat(lo[ids], counts), np.repeat(hi[ids], counts)
-        start_n, start_e = np.repeat(start[ids], counts), np.repeat(start[ids], edge_counts)
+        # each problem's observed values, keyed by its position in the
+        # layout: complex keys sort by position first, then by value, so a
+        # node's search stays within its own problem's values
+        level_counts = np.array([levels[b].size for b in ids])
+        level_values = np.concatenate([levels[b] for b in ids])
+        level_keys = np.repeat(np.arange(ids.size), level_counts) + 1j * level_values
+        owner = np.repeat(np.arange(ids.size), counts)
+        level_ends = np.cumsum(level_counts)
+        first_level = np.repeat(level_ends - level_counts, counts)
+        last_level = np.repeat(level_ends - 1, counts)
         n = x.size
 
         while True:
-            y += step_y * _d(z, tails, heads)
+            # the dual step, constant per problem, scales z on the nodes
+            y += _d(z * step_y, tails, heads)
             _box(y)
             grad = _dt(y, tails, heads, n)
             x_next = x - step_x * grad
             x_next[nodes] = samples
             z = 2.0 * x_next - x
             x = x_next
+            x_sum += x
+            y_sum += y
             k += 1
-            avg += (x - avg) / (k - start_n)
-            y_avg += (y - y_avg) / (k - start_e)
             if k % _CHECK_EVERY and k != cfg.max_iterations:
                 continue
-            # the last pair's dual image is grad; the averaged one's is
-            # computed here
-            tv_x, bound_x = certify(x, grad)
-            tv_a, bound_a = certify(avg, _dt(y_avg, tails, heads, n))
-            tv, bound = np.minimum(tv_a, tv_x), np.maximum(bound_a, bound_x)
+            # the averages since the last restart, with the observations
+            # written back so that they stay exactly feasible; the last
+            # pair's dual image is grad
+            since = k - start[ids]
+            avg = x_sum / np.repeat(since, counts)
+            avg[nodes] = samples
+            y_avg = y_sum / np.repeat(since, edge_counts)
+            tv_x, bound_x = tv_of(x), bound_of(grad)
+            tv_a, bound_a = tv_of(avg), bound_of(_dt(y_avg, tails, heads, n))
+            # the better of the two, rounded to the observed values, is a
+            # third candidate for the output
+            better = np.where(np.repeat(tv_a <= tv_x, counts), avg, x)
+            snapped = rounded(better)
+            tv_r = tv_of(snapped)
+            tv = np.minimum(np.minimum(tv_a, tv_x), tv_r)
+            bound = np.maximum(bound_a, bound_x)
             met = tv - bound <= cfg.gap_tol * np.maximum(tv, floor[ids])
             done = met | (k == cfg.max_iterations)
             # restart the others at the pair with the smaller gap of its own
@@ -290,7 +340,7 @@ def _recover_batch(problems, cfg):
             restart = ~done & (
                 (gap <= _SUFFICIENT * restart_gap[ids])
                 | ((gap <= _NECESSARY * restart_gap[ids]) & (gap > last_gap[ids]))
-                | (k - start[ids] >= _ARTIFICIAL * k)
+                | (since >= _ARTIFICIAL * k)
             )
             last_gap[ids] = np.where(restart, np.inf, gap)
             if np.count_nonzero(restart):
@@ -303,7 +353,7 @@ def _recover_batch(problems, cfg):
                 # the norms of the base steps
                 dx, dy = x - x_r, y - y_r
                 move_x = np.sqrt(np.add.reduceat(dx * dx / base_x, offsets))
-                move_y = np.sqrt(np.add.reduceat(dy * dy / base_y, edge_offsets))
+                move_y = np.sqrt(np.add.reduceat(dy * dy, edge_offsets) / _DUAL_STEP)
                 tune = restart & (move_x > _MIN_MOVE) & (move_y > _MIN_MOVE)
                 w = omega[ids[tune]]
                 tuned = np.exp(
@@ -316,15 +366,15 @@ def _recover_batch(problems, cfg):
                 node_reset = np.repeat(restart, counts)
                 edge_reset = np.repeat(restart, edge_counts)
                 z = np.where(node_reset, x, z)
-                avg = np.where(node_reset, x, avg)
                 x_r = np.where(node_reset, x, x_r)
-                y_avg = np.where(edge_reset, y, y_avg)
                 y_r = np.where(edge_reset, y, y_r)
-                start_n = np.repeat(start[ids], counts)
-                start_e = np.repeat(start[ids], edge_counts)
+                x_sum[node_reset] = 0.0
+                y_sum[edge_reset] = 0.0
             if np.count_nonzero(done):
-                # a stopped problem's iterates are as they were at its check
-                out = np.where(np.repeat(tv_a <= tv_x, counts), avg, x)
+                # a stopped problem's iterates are as they were at its
+                # check; its rounded candidate wins only a strict decrease
+                use_r = tv_r < np.minimum(tv_a, tv_x)
+                out = np.where(np.repeat(use_r, counts), snapped, better)
                 break
 
         den = np.maximum(tv, floor[ids])
@@ -341,8 +391,8 @@ def _recover_batch(problems, cfg):
             )
         # carry the survivors' iterates over to the next layout
         keep, edge_keep = np.repeat(~done, counts), np.repeat(~done, edge_counts)
-        x, z, avg, x_r = x[keep], z[keep], avg[keep], x_r[keep]
-        y, y_avg, y_r = y[edge_keep], y_avg[edge_keep], y_r[edge_keep]
+        x, z, x_sum, x_r = x[keep], z[keep], x_sum[keep], x_r[keep]
+        y, y_sum, y_r = y[edge_keep], y_sum[edge_keep], y_r[edge_keep]
         ids = ids[~done]
 
     return results

@@ -439,16 +439,16 @@ def experiment_digests(tmp_path, capsys, which, runs):
 # promised.
 PINNED_CERTIFIED_EXPERIMENT_FILES = {
     "table1": {
-        "table1_summary.csv": "ba51f544b1df2838248dd6a1770a1e5e1377625eedf571e0450b9a9297a3d4fb",
-        "table1_trials_budget10.csv": "01a2290e67ed0e58a43ec4698c038862c2cff33a60c0b7a8ccd7c9735faf982d",
-        "table1_trials_budget20.csv": "e8a0fb63afee4eea9e003f775865200febebfb095ee143a895fb2e1179767b70",
-        "table1_trials_budget30.csv": "64ad6c8d8171e5c8a06e5ab04e5765ad5ed61a55fe315b217527418af654577a",
-        "table1_trials_budget40.csv": "5e6baa130b164ae1cac2ae9641b807680cd783154e716eca91b666a3a17e7026",
-        "table1_trials_budget50.csv": "74ea1f777054d1f27169715369c519e0358f65af1c204487982f0822f51ce415",
+        "table1_summary.csv": "0978b4633752b4cd4519abe208fd66c8103d5ba0a3ba605010e99c9e1d7cb4fc",
+        "table1_trials_budget10.csv": "fce4c709f699d7cdc48d0c76385906afa619ff383da4acc442a1d24bae03fa24",
+        "table1_trials_budget20.csv": "a4bb85fd96a17f5d2d1afbc56b0e819a3f321982e18194e3cf9e71a86543241f",
+        "table1_trials_budget30.csv": "8fbc512f3e4744e8f531d14ddd8a1f466e1c32d84fa2feaeb8ab1187d4fb4b20",
+        "table1_trials_budget40.csv": "ed3e79487b3e1371982767ef964a47f507ab3a2734831a7640b244470d1b632b",
+        "table1_trials_budget50.csv": "daddf5518915c108d36cddb2fe0c4a4d5e9e22a227bf454b79ff8b91128ede42",
     },
     "clusterstats": {
         "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
-        "clusterstats_trials.csv": "77d79a39327a5ab3de814edd77c5d63e98047327699dbc6c7a9b92b1561c4c7a",
+        "clusterstats_trials.csv": "276eeee3620221ad65689982b8ee33de328aa99c561ca25af56b79307bac1e00",
     },
 }
 
@@ -464,12 +464,12 @@ def test_seeded_certified_experiment_files_are_pinned(tmp_path, capsys, which):
 # walker does most of the drawing. Recorded with the same numpy build as
 # PINNED_CERTIFIED_EXPERIMENT_FILES.
 PINNED_CERTIFIED_TABLE2_FILES = {
-    "table2_summary.csv": "284350b6847a0ad12c660f6094e5dc2bc0c859634c31270f4886348c505c802f",
-    "table2_trials_walk_length20.csv": "1d7840d4197c258b17169f13751f2f4dc25f5a34bb56e72c4f057696594cd339",
-    "table2_trials_walk_length40.csv": "81276826f989207418169cb065d840a02948523a8afe081605e99e6abd8b08f5",
-    "table2_trials_walk_length80.csv": "eb070310b8decf4c9995ff97a207b541deb58dbc30c718f8c38a90fba2cb17c0",
-    "table2_trials_walk_length160.csv": "d3799de36aee22c12ad0d438adb43739ccceb4526110212c1d7173a21f03a6c0",
-    "table2_trials_walk_length320.csv": "aa1a4a728aa205631cd1d51775679515fcba3ca0eb947822b846059858099206",
+    "table2_summary.csv": "c9cdf7aae3f4908d735801257ac19f3f8e79e5a62d16c5cf4ce785f5754b0ec4",
+    "table2_trials_walk_length20.csv": "c0fa053f3c3bf5b9eb84f727b8b8873d41cbfb3ac515be6e8d7b37a4ff20812c",
+    "table2_trials_walk_length40.csv": "c43d0f44aceb6456db60bbc8925e190789230fe6c10750cc8f0b333da669b10d",
+    "table2_trials_walk_length80.csv": "ab45cc82d9fca8c5a41b364f372d766a247e6ccbdc1616a38958cb57a004c1d6",
+    "table2_trials_walk_length160.csv": "eb4576f70f838a3df09840670399ca50144dcb74a36d1688bdddd1f8a416138e",
+    "table2_trials_walk_length320.csv": "ecfca22f17e2c23101c94c4f046e2fdbc6f1af764b1e0d26ab794113e9454f08",
 }
 
 
@@ -541,13 +541,13 @@ PINNED_PIPELINE_FILES = {
         "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "e29b76a3dc3f2b8299492083e11dd4a56c9765a0ac15ebb867a060a5f325c5a3",
+        "xhat.csv": "0d1b5538349596f46d8f5d062c8736027d01882a7fbe2a62fbe5599dce8da8d1",
     },
     True: {
         "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "93aae9988f7421447b535e7185d4ce506131b2e5eaaac07970a1b8f4906a7720",
+        "xhat.csv": "182cfd2358f2c36084ec20b2c203e549472083a54517706c17e9288a601b51eb",
     },
 }
 
@@ -571,6 +571,8 @@ def test_recover_warns_when_it_stops_at_the_cap(tmp_path, capsys):
     capped = run_cli(*recover, "--max-iter", "10")
     assert capped.returncode == 0
     assert capped.stdout.startswith("recovered in 10 iterations\n")
+    gap_line = capped.stdout.splitlines()[1]
+    assert gap_line.startswith("certified gap ") and gap_line.endswith(" (stop: cap)")
     warned = [line for line in capped.stderr.splitlines() if "--max-iter" in line]
     assert warned == [warned[0]] and warned[0].startswith("WARNING stopped at")
     # the file is written as for a solve that met --tol
@@ -578,6 +580,7 @@ def test_recover_warns_when_it_stops_at_the_cap(tmp_path, capsys):
     # the fixture pipeline's own solve meets --tol and does not warn
     met = run_cli(*recover, "--max-iter", "5000", "--tol", "1e-5")
     assert met.returncode == 0 and "--max-iter" not in met.stderr
+    assert met.stdout.splitlines()[1].endswith(" (stop: gap)")
 
 
 def test_extract_subgraph_writes_map_back_to_source_ids(tmp_path, capsys):
