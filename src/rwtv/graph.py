@@ -44,7 +44,7 @@ class Graph:
             raise ValueError(
                 f"node_count must be at most {_MAX_NODES}, got {node_count}"
             )
-        e = np.asarray(edges, dtype=np.int64)
+        e = _check_ids(edges, "edge endpoints")
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -148,7 +148,7 @@ class Partition:
     """
 
     def __init__(self, labels):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _check_ids(labels, "cluster ids")
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a nonempty 1-d sequence")
         if labels.min() < 0:
@@ -221,6 +221,21 @@ def _check_count(value, what):
     if count < 1:
         raise ValueError(f"{what} must be >= 1, got {count}")
     return count
+
+
+def _check_ids(ids, what):
+    """``ids`` as an int64 array; ``what`` names them in errors.
+
+    Integer arrays pass unchecked, and integral floats pass as in
+    :func:`_check_count`; a fraction, an infinity or a NaN is rejected
+    rather than truncated.
+    """
+    a = np.asarray(ids)
+    if a.dtype.kind == "f":
+        bad = ~(np.isfinite(a) & (a == np.trunc(a)))
+        if np.any(bad):
+            raise ValueError(f"{what} must be integers, got {a[bad][0]}")
+    return np.asarray(a, dtype=np.int64)
 
 
 def _check_partition(g, part):

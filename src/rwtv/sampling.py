@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import _check_count, _check_node, _check_partition
+from .graph import _check_count, _check_ids, _check_node, _check_partition
 from .rng import as_generator
 
 __all__ = [
@@ -64,8 +64,9 @@ class SamplingSet:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.unique(np.asarray(self.nodes, dtype=np.int64))
-        if nodes.size != np.asarray(self.nodes).size:
+        ids = _check_ids(self.nodes, "node ids")
+        nodes = np.unique(ids)
+        if nodes.size != ids.size:
             raise ValueError("sampling set nodes must be distinct")
         if nodes.size and nodes[0] < 0:
             raise ValueError("node ids must be nonnegative")

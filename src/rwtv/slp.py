@@ -39,8 +39,10 @@ restart, the primal and the dual restart points' distances from the last
 restart point are measured in the norms of the unweighted steps
 (``sqrt(sum(degree * dx**2))`` and ``sqrt(sum(2 * dy**2))``), and ``w``
 moves halfway to their ratio in log scale: ``log w`` becomes the mean of
-``log w`` and ``log(dual distance / primal distance)``, unless either
-distance is at most 1e-10. The first restart point is the observations
+``log w`` and ``log(dual distance / primal distance)``, unless the
+primal distance is at most 1e-10 times the spread of the observed values
+or the dual one is at most 1e-10 (the dual's box does not scale with the
+values). The first restart point is the observations
 on the sampled nodes, 0 elsewhere, with a zero dual, so that the
 observations' first overwrite does not count as movement.
 
@@ -62,9 +64,10 @@ keyed ``position + 1j * value``, which sort by position in the union
 first, so a node's key is never compared with another problem's values.
 Every update is elementwise or sums within one problem in the
 same order as a lone solve, so each problem's result is bit-identical to
-solving it alone. When a problem stops, its output is copied out and the
-union of the problems still running is laid out afresh from their own
-arrays, carrying over only their iterates, so they run on smaller arrays.
+solving it alone. Per-problem state is indexed by live position. When a
+problem stops, its output is copied out, the per-problem arrays and the
+iterates keep only the problems still running, and their union is laid
+out afresh, so they run on smaller arrays.
 :func:`slp_recover` is a batch of one.
 """
 
@@ -91,8 +94,9 @@ _SUFFICIENT, _NECESSARY, _ARTIFICIAL = 0.2, 0.8, 0.36
 _GAP_FLOOR = 1e-6
 # PDLP's primal weight update: at a restart, the weight moves by this share
 # of the way, in log scale, to the ratio of the dual to the primal movement
-# since the last restart; it stays put if either movement is at most
-# _MIN_MOVE.
+# since the last restart; it stays put if the primal movement is at most
+# _MIN_MOVE times the spread of the observed values, or the dual one at
+# most _MIN_MOVE.
 _THETA, _MIN_MOVE = 0.5, 1e-10
 # Diagonal primal step of a node without edges. Its gradient is always 0,
 # so any finite value leaves it at its start (0) or its observation.
@@ -204,10 +208,9 @@ def slp_recover(g, m, samples, cfg=None):
 
 
 def _steps(g):
-    """Per-node and per-edge step sizes of one problem."""
+    """Per-node primal steps of one problem, before its primal weight."""
     deg = g.degrees
-    step_x = np.divide(1.0, deg, out=np.full(deg.size, _ISOLATED_STEP), where=deg > 0)
-    return step_x, np.full(g.edge_count, _DUAL_STEP)
+    return np.divide(1.0, deg, out=np.full(deg.size, _ISOLATED_STEP), where=deg > 0)
 
 
 def _recover_batch(problems, cfg):
@@ -217,90 +220,76 @@ def _recover_batch(problems, cfg):
 
     Every problem is checked before any solving starts.
     """
-    values = []
+    # the live problems, with their checked values, base primal steps and
+    # distinct observed values (levels)
+    live = []
     for g, m, samples in problems:
         if g.edge_count == 0:
             raise ValueError("recovery requires a graph with at least one edge")
         if len(m) == 0:
             raise ValueError("sampling set must be nonempty")
         m.mask(g.node_count)
-        values.append(_check_signal(samples, len(m), "sample values"))
-    base_steps = [_steps(g)[0] for g, _, _ in problems]
-    levels = [np.unique(v) for v in values]
-    lo = np.array([v[0] for v in levels])
-    hi = np.array([v[-1] for v in levels])
+        values = _check_signal(samples, len(m), "sample values")
+        live.append((g, m, values, _steps(g), np.unique(values)))
+    # per live problem, compacted with the iterates: its input slot, range
+    # of levels, gap floor, primal weight, last restart's iteration and gap,
+    # and its gap at the previous check since (inf right after a restart)
+    ids = np.arange(len(live))
+    lo = np.array([levels[0] for *_, levels in live])
+    hi = np.array([levels[-1] for *_, levels in live])
     floor = _GAP_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
-    # per problem: the iteration of its last restart, its gap then, and its
-    # gap at the previous check since (inf right after a restart)
-    start = np.zeros(len(problems), dtype=np.int64)
-    restart_gap = np.full(len(problems), np.inf)
-    last_gap = np.full(len(problems), np.inf)
-    # per problem: its primal weight, which divides its primal steps and
-    # multiplies its dual steps
-    omega = np.ones(len(problems))
-    ids = np.arange(len(problems))
-    results = [None] * len(problems)
+    omega = np.ones(len(live))
+    start = np.zeros(len(live), dtype=np.int64)
+    restart_gap = np.full(len(live), np.inf)
+    last_gap = np.full(len(live), np.inf)
+    results = [None] * len(live)
     # x_sum and y_sum: the sums of the iterates since the last restart;
     # x_r and y_r: the point of the last restart (the anchor)
-    x, z, x_sum, x_r = np.zeros((4, sum(g.node_count for g, _, _ in problems)))
-    y, y_sum, y_r = np.zeros((3, sum(g.edge_count for g, _, _ in problems)))
-
-    def weighted_steps():
-        """The live problems' primal steps under their primal weights, and
-        their dual steps, which are constant per problem, on their nodes."""
-        w = np.repeat(omega[ids], counts)
-        return base_x / w, _DUAL_STEP * w
-
-    def tv_of(v):
-        """Each live problem's total variation of the node signal ``v``."""
-        return np.add.reduceat(np.abs(_d(v, tails, heads)), edge_offsets)
-
-    def bound_of(r):
-        """Each live problem's lower bound from the dual whose adjoint image
-        is ``r``."""
-        t = np.minimum(lo_n * r, hi_n * r)
-        t[nodes] = samples * r[nodes]
-        return np.add.reduceat(t, offsets)
-
-    def rounded(v):
-        """``v`` with each node's value replaced by the nearest of its own
-        problem's observed values (the lower one on a tie)."""
-        i = np.searchsorted(level_keys, owner + 1j * v)
-        below = level_values[np.maximum(i - 1, first_level)]
-        above = level_values[np.minimum(i, last_level)]
-        return np.where(above - v < v - below, above, below)
+    x, z, x_sum, x_r = np.zeros((4, sum(g.node_count for g, *_ in live)))
+    y, y_sum, y_r = np.zeros((3, sum(g.edge_count for g, *_ in live)))
 
     k = 0
-    while ids.size:
+    while live:
         # lay out the live problems' disjoint union: the node and edge ids
         # of each are offset by the nodes before it, and its steps fill its
         # own nodes and edges
-        live = [problems[b] for b in ids]
-        counts = np.array([g.node_count for g, _, _ in live])
-        edge_counts = np.array([g.edge_count for g, _, _ in live])
+        graphs, sets, values, base, levels = zip(*live)
+        counts = np.array([g.node_count for g in graphs])
+        edge_counts = np.array([g.edge_count for g in graphs])
         offsets = np.cumsum(counts) - counts
         edge_offsets = np.cumsum(edge_counts) - edge_counts
-        tails = np.concatenate([g.tails + o for (g, _, _), o in zip(live, offsets)])
-        heads = np.concatenate([g.heads + o for (g, _, _), o in zip(live, offsets)])
-        nodes = np.concatenate([m.nodes + o for (_, m, _), o in zip(live, offsets)])
-        samples = np.concatenate([values[b] for b in ids])
-        base_x = np.concatenate([base_steps[b] for b in ids])
-        step_x, step_y = weighted_steps()
+        tails = np.concatenate([g.tails + o for g, o in zip(graphs, offsets)])
+        heads = np.concatenate([g.heads + o for g, o in zip(graphs, offsets)])
+        nodes = np.concatenate([m.nodes + o for m, o in zip(sets, offsets)])
+        samples = np.concatenate(values)
+        base_x = np.concatenate(base)
+        w = np.repeat(omega, counts)
+        step_x, step_y = base_x / w, _DUAL_STEP * w
         if k == 0:
             # the first anchor: the observations on sampled nodes, 0 elsewhere
             x_r[nodes] = samples
-        lo_n, hi_n = np.repeat(lo[ids], counts), np.repeat(hi[ids], counts)
-        # each problem's observed values, keyed by its position in the
-        # layout: complex keys sort by position first, then by value, so a
-        # node's search stays within its own problem's values
-        level_counts = np.array([levels[b].size for b in ids])
-        level_values = np.concatenate([levels[b] for b in ids])
-        level_keys = np.repeat(np.arange(ids.size), level_counts) + 1j * level_values
-        owner = np.repeat(np.arange(ids.size), counts)
+        lo_n, hi_n = np.repeat(lo, counts), np.repeat(hi, counts)
+        # each problem's levels, keyed by its position in the layout:
+        # complex keys sort by position first, then by value, so a node's
+        # search stays within its own problem's levels
+        level_counts = np.array([v.size for v in levels])
+        level_values = np.concatenate(levels)
+        level_keys = np.repeat(np.arange(len(live)), level_counts) + 1j * level_values
+        owner = np.repeat(np.arange(len(live)), counts)
         level_ends = np.cumsum(level_counts)
         first_level = np.repeat(level_ends - level_counts, counts)
         last_level = np.repeat(level_ends - 1, counts)
         n = x.size
+
+        def tv_of(v):
+            """Each live problem's total variation of the node signal ``v``."""
+            return np.add.reduceat(np.abs(_d(v, tails, heads)), edge_offsets)
+
+        def bound_of(r):
+            """Each live problem's bound from the dual of adjoint image ``r``."""
+            t = np.minimum(lo_n * r, hi_n * r)
+            t[nodes] = samples * r[nodes]
+            return np.add.reduceat(t, offsets)
 
         while True:
             # the dual step, constant per problem, scales z on the nodes
@@ -319,33 +308,37 @@ def _recover_batch(problems, cfg):
             # the averages since the last restart, with the observations
             # written back so that they stay exactly feasible; the last
             # pair's dual image is grad
-            since = k - start[ids]
+            since = k - start
             avg = x_sum / np.repeat(since, counts)
             avg[nodes] = samples
             y_avg = y_sum / np.repeat(since, edge_counts)
             tv_x, bound_x = tv_of(x), bound_of(grad)
             tv_a, bound_a = tv_of(avg), bound_of(_dt(y_avg, tails, heads, n))
-            # the better of the two, rounded to the observed values, is a
-            # third candidate for the output
+            # the better of the two, with each node rounded to the nearest
+            # of its problem's levels (the lower one on a tie), is a third
+            # candidate for the output
             better = np.where(np.repeat(tv_a <= tv_x, counts), avg, x)
-            snapped = rounded(better)
+            i = np.searchsorted(level_keys, owner + 1j * better)
+            below = level_values[np.maximum(i - 1, first_level)]
+            above = level_values[np.minimum(i, last_level)]
+            snapped = np.where(above - better < better - below, above, below)
             tv_r = tv_of(snapped)
             tv = np.minimum(np.minimum(tv_a, tv_x), tv_r)
             bound = np.maximum(bound_a, bound_x)
-            met = tv - bound <= cfg.gap_tol * np.maximum(tv, floor[ids])
+            met = tv - bound <= cfg.gap_tol * np.maximum(tv, floor)
             done = met | (k == cfg.max_iterations)
             # restart the others at the pair with the smaller gap of its own
             gap_a, gap_x = tv_a - bound_a, tv_x - bound_x
             gap = np.minimum(gap_a, gap_x)
             restart = ~done & (
-                (gap <= _SUFFICIENT * restart_gap[ids])
-                | ((gap <= _NECESSARY * restart_gap[ids]) & (gap > last_gap[ids]))
+                (gap <= _SUFFICIENT * restart_gap)
+                | ((gap <= _NECESSARY * restart_gap) & (gap > last_gap))
                 | (since >= _ARTIFICIAL * k)
             )
-            last_gap[ids] = np.where(restart, np.inf, gap)
+            last_gap = np.where(restart, np.inf, gap)
             if np.count_nonzero(restart):
-                restart_gap[ids[restart]] = gap[restart]
-                start[ids[restart]] = k
+                restart_gap[restart] = gap[restart]
+                start[restart] = k
                 to_avg = restart & (gap_a < gap_x)
                 x = np.where(np.repeat(to_avg, counts), avg, x)
                 y = np.where(np.repeat(to_avg, edge_counts), y_avg, y)
@@ -354,15 +347,13 @@ def _recover_batch(problems, cfg):
                 dx, dy = x - x_r, y - y_r
                 move_x = np.sqrt(np.add.reduceat(dx * dx / base_x, offsets))
                 move_y = np.sqrt(np.add.reduceat(dy * dy, edge_offsets) / _DUAL_STEP)
-                tune = restart & (move_x > _MIN_MOVE) & (move_y > _MIN_MOVE)
-                w = omega[ids[tune]]
-                tuned = np.exp(
+                tune = restart & (move_x > _MIN_MOVE * (hi - lo)) & (move_y > _MIN_MOVE)
+                omega[tune] = np.exp(
                     _THETA * np.log(move_y[tune] / move_x[tune])
-                    + (1.0 - _THETA) * np.log(w)
+                    + (1.0 - _THETA) * np.log(omega[tune])
                 )
-                if np.any(tuned != w):
-                    omega[ids[tune]] = tuned
-                    step_x, step_y = weighted_steps()
+                w = np.repeat(omega, counts)
+                step_x, step_y = base_x / w, _DUAL_STEP * w
                 node_reset = np.repeat(restart, counts)
                 edge_reset = np.repeat(restart, edge_counts)
                 z = np.where(node_reset, x, z)
@@ -377,7 +368,7 @@ def _recover_batch(problems, cfg):
                 out = np.where(np.repeat(use_r, counts), snapped, better)
                 break
 
-        den = np.maximum(tv, floor[ids])
+        den = np.maximum(tv, floor)
         gaps = np.divide(tv - bound, den, out=np.zeros_like(tv), where=den > 0)
         for b in np.flatnonzero(done):
             recovered = out[offsets[b] : offsets[b] + counts[b]].copy()
@@ -389,11 +380,15 @@ def _recover_batch(problems, cfg):
                 lower_bound=float(bound[b]),
                 stop_reason="gap" if met[b] else "cap",
             )
-        # carry the survivors' iterates over to the next layout
+        # carry the survivors over to the next layout: their iterates, and
+        # their entries of every per-problem array
         keep, edge_keep = np.repeat(~done, counts), np.repeat(~done, edge_counts)
         x, z, x_sum, x_r = x[keep], z[keep], x_sum[keep], x_r[keep]
         y, y_sum, y_r = y[edge_keep], y_sum[edge_keep], y_r[edge_keep]
-        ids = ids[~done]
+        ids, lo, hi, floor, omega, start, restart_gap, last_gap = (
+            a[~done] for a in (ids, lo, hi, floor, omega, start, restart_gap, last_gap)
+        )
+        live = [p for p, stop in zip(live, done) if not stop]
 
     return results
 

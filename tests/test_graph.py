@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rwtv import (
     Graph,
     Partition,
+    SamplingSet,
     clustered_signal,
     cut_size,
     incidence_apply,
@@ -70,6 +71,21 @@ def test_node_count_beyond_int64_edge_keys_rejected():
 def test_invalid_graph_and_partition_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "make, whole, what",
+    [
+        (lambda ids: Graph(3, [ids]), [0.0, 2.0], "edge endpoints"),
+        (lambda ids: Partition(ids), [1.0, 0.0], "cluster ids"),
+        (lambda ids: SamplingSet(nodes=ids), [2.0, 0.0], "node ids"),
+    ],
+)
+@pytest.mark.parametrize("bad", [1.7, 0.5, np.inf, np.nan])
+def test_fractional_ids_rejected_rather_than_truncated(make, whole, what, bad):
+    make(whole)  # integral floats pass
+    with pytest.raises(ValueError, match=f"{what} must be integers, got {bad}"):
+        make([whole[0], bad])
 
 
 def test_isolated_nodes_allowed():

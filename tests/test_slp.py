@@ -25,7 +25,7 @@ from rwtv import (
     uniform_sampling,
 )
 from rwtv.experiments import BENCHMARK_SLP, BENCHMARK_WALK_LENGTH, benchmark_trial_spec
-from rwtv.slp import _recover_batch, _steps
+from rwtv.slp import _DUAL_STEP, _recover_batch, _steps
 from lp_oracle import dense_incidence, tv_min_lp
 from reference_slp import reference_slp
 from strategies import graphs
@@ -346,7 +346,9 @@ def test_certified_rule_stops_when_the_optimum_is_zero():
 
 def test_batch_matches_lone_solves_across_value_scales():
     # each problem rounds to its own observed values only, whatever the
-    # scale and offset of the other problems' values in the batch
+    # scale and offset of the other problems' values in the batch; and the
+    # primal weight re-balances at any scale, so every problem stops by
+    # the gap
     problems = []
     scalings = [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, -1e6)]
     for index, (scale, shift) in enumerate(scalings):
@@ -361,12 +363,13 @@ def test_batch_matches_lone_solves_across_value_scales():
         assert a.recovered.tobytes() == b.recovered.tobytes()
         assert a.iterations_run == b.iterations_run
         assert (a.gap, a.lower_bound) == (b.gap, b.lower_bound)
+        assert a.stop_reason == "gap"
     assert len({r.iterations_run for r in batch}) > 2
 
 
 def test_certified_rule_gives_isolated_nodes_a_finite_step():
     g = Graph(5, [(0, 1), (1, 2)])  # nodes 3 and 4 have no edge
-    step_x, step_y = _steps(g)
+    step_x, step_y = _steps(g), np.full(g.edge_count, _DUAL_STEP)
     assert step_x.tolist() == [1.0, 0.5, 1.0, 1.0, 1.0]
     assert step_y.tolist() == [0.5, 0.5]
     res = slp_recover(g, sampling_set([0, 2, 4]), [2.0, 1.0, 3.0], BENCHMARK_SLP)
@@ -380,7 +383,7 @@ def test_certified_rule_gives_isolated_nodes_a_finite_step():
 @given(graphs(min_edges=1))
 def test_diagonal_steps_within_stability_bound(g):
     # Pock and Chambolle's condition: |diag(step_y)^1/2 D diag(step_x)^1/2| <= 1
-    step_x, step_y = _steps(g)
+    step_x, step_y = _steps(g), np.full(g.edge_count, _DUAL_STEP)
     scaled = np.sqrt(step_y)[:, None] * dense_incidence(g) * np.sqrt(step_x)
     assert np.linalg.norm(scaled, 2) <= 1.0 + 1e-12
 
