@@ -37,7 +37,7 @@ class Graph:
     """
 
     def __init__(self, node_count, edges):
-        node_count = int(node_count)
+        node_count = int(_check_ids(node_count, "node counts"))
         if node_count < 1:
             raise ValueError(f"node_count must be positive, got {node_count}")
         if node_count > _MAX_NODES:
@@ -167,7 +167,7 @@ class Partition:
     @classmethod
     def from_sizes(cls, sizes):
         """Contiguous node blocks: the first ``sizes[0]`` nodes form cluster 0, etc."""
-        sizes = [int(s) for s in sizes]
+        sizes = _check_ids(sizes, "cluster sizes").tolist()
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("cluster sizes must be positive")
         return cls(np.repeat(np.arange(len(sizes)), sizes))
@@ -188,7 +188,7 @@ class Partition:
 
 
 def _check_node(g, i):
-    i = int(i)
+    i = int(_check_ids(i, "node ids"))
     if not 0 <= i < g.node_count:
         raise ValueError(f"node id {i} out of range for {g.node_count} nodes")
     return i
@@ -228,14 +228,17 @@ def _check_ids(ids, what):
 
     Integer arrays pass unchecked, and integral floats pass as in
     :func:`_check_count`; a fraction, an infinity or a NaN is rejected
-    rather than truncated.
+    rather than truncated, and an integer beyond the int64 range too.
     """
     a = np.asarray(ids)
     if a.dtype.kind == "f":
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if np.any(bad):
             raise ValueError(f"{what} must be integers, got {a[bad][0]}")
-    return np.asarray(a, dtype=np.int64)
+    try:
+        return np.asarray(a, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} must be integers below 2**63") from None
 
 
 def _check_partition(g, part):
@@ -286,7 +289,7 @@ def total_variation(g, x):
 def cut_size(g, part, cluster_id):
     """Number of edges with exactly one endpoint in the given cluster."""
     _check_partition(g, part)
-    cluster_id = int(cluster_id)
+    cluster_id = int(_check_ids(cluster_id, "cluster ids"))
     if not 0 <= cluster_id < part.cluster_count:
         raise ValueError(f"unknown cluster id {cluster_id}")
     la = part.labels

@@ -32,6 +32,15 @@ the averaged primal-dual pair, whichever has the smaller gap, by the
 rules of PDLP (Applegate et al., NeurIPS 2021); the rounded candidate
 takes no part in the restarts or in the primal weight below.
 
+Each problem is solved in one unit: its values are mapped onto [-1, 1]
+by ``v -> (v - mid) / half``, with ``mid`` the midpoint of its observed
+values and ``half`` half their range (1 when they are all equal), and its
+unsampled nodes start at 0, the midpoint. So its iterations, stop and
+certificate do not depend on the scale or offset of its values. Its output
+is mapped back once, when it stops, to ``mid + half * u``, with the
+observations on sampled nodes and, for a rounded output, the observed
+values themselves: the mapping does not return every value bit for bit.
+
 Also as in PDLP, each problem carries a primal weight ``w``, which starts
 at 1: its steps are ``1 / (w degree)`` per node and ``w / 2`` per edge,
 whose product does not depend on ``w``, so the steps stay stable. At a
@@ -39,21 +48,16 @@ restart, the primal and the dual restart points' distances from the last
 restart point are measured in the norms of the unweighted steps
 (``sqrt(sum(degree * dx**2))`` and ``sqrt(sum(2 * dy**2))``), and ``w``
 moves halfway to their ratio in log scale: ``log w`` becomes the mean of
-``log w`` and ``log(dual distance / primal distance)``, unless the
-primal distance is at most 1e-10 times the spread of the observed values
-or the dual one is at most 1e-10 (the dual's box does not scale with the
-values). The first restart point is the observations
+``log w`` and ``log(dual distance / primal distance)``, unless either
+distance is at most 1e-10. The first restart point is the observations
 on the sampled nodes, 0 elsewhere, with a zero dual, so that the
 observations' first overwrite does not count as movement.
 
-The bound needs no projection of the dual. Clipping a signal to
-``[lo, hi]``, the smallest and largest observed values, raises no edge
-difference, so some minimizer lies in that box. Hence for any edge
-signal ``y`` in the unit box, with ``r`` its image under the adjoint of
-the incidence map, the optimum is at least
-``sum_{i in M} obs_i r_i + sum_{i not in M} min(lo r_i, hi r_i)``.
-:class:`SlpResult` reports this bound and the relative gap of the
-returned signal.
+The bound needs no projection of the dual. Clipping a signal to the
+observed range [-1, 1] raises no edge difference, so some minimizer lies
+in the dual's own box, and for any ``y`` in it, with ``r = Dᵀ y``, the
+optimum is at least ``sum_{i in M} obs_i r_i - sum_{i not in M} |r_i|``.
+:class:`SlpResult` reports this bound times ``half``, and the gap.
 
 One loop solves one problem or many. Many problems are solved as their
 disjoint union: node and edge ids are offset per problem, each problem's
@@ -64,11 +68,9 @@ keyed ``position + 1j * value``, which sort by position in the union
 first, so a node's key is never compared with another problem's values.
 Every update is elementwise or sums within one problem in the
 same order as a lone solve, so each problem's result is bit-identical to
-solving it alone. Per-problem state is indexed by live position. When a
-problem stops, its output is copied out, the per-problem arrays and the
-iterates keep only the problems still running, and their union is laid
-out afresh, so they run on smaller arrays.
-:func:`slp_recover` is a batch of one.
+solving it alone. When a problem stops, its output is mapped back, and
+the per-problem arrays and the iterates keep only the problems still
+running, laid out afresh. :func:`slp_recover` is a batch of one.
 """
 
 from __future__ import annotations
@@ -88,18 +90,17 @@ _CHECK_EVERY = 10
 # at the last restart, or to 0.8 of it and rose since the previous check,
 # or when the iterations since the last restart reach 0.36 of all run.
 _SUFFICIENT, _NECESSARY, _ARTIFICIAL = 0.2, 0.8, 0.36
-# The relative gap divides by max(TV, _GAP_FLOOR * max |observed value|),
-# so that a problem whose optimum is 0 (one sample, or all samples equal)
-# stops by the gap too.
+# The relative gap divides by max(TV, _GAP_FLOOR) in the unit, so that a
+# problem whose optimum is 0 (one sample, or all samples equal) stops by
+# the gap too.
 _GAP_FLOOR = 1e-6
 # PDLP's primal weight update: at a restart, the weight moves by this share
 # of the way, in log scale, to the ratio of the dual to the primal movement
-# since the last restart; it stays put if the primal movement is at most
-# _MIN_MOVE times the spread of the observed values, or the dual one at
-# most _MIN_MOVE.
+# since the last restart, unless either movement is at most _MIN_MOVE.
 _THETA, _MIN_MOVE = 0.5, 1e-10
 # Diagonal primal step of a node without edges. Its gradient is always 0,
-# so any finite value leaves it at its start (0) or its observation.
+# so any finite value leaves it at its start (the midpoint of the observed
+# values) or its observation.
 _ISOLATED_STEP = 1.0
 # Diagonal dual step of every edge.
 _DUAL_STEP = 0.5
@@ -135,11 +136,11 @@ class SlpResult:
     exactly. ``lower_bound`` is a lower bound on the optimal total
     variation, from a dual iterate, and ``gap`` is the certified relative
     gap of the recovered signal: its total variation minus the bound,
-    divided by the larger of that total variation and ``1e-6`` times the
-    largest absolute observed value (0 when both are 0). ``stop_reason``
-    is ``"gap"`` if the iteration stopped because that gap met
-    :attr:`SlpConfig.gap_tol`, and ``"cap"`` if it ran into
-    :attr:`SlpConfig.max_iterations` first.
+    divided by the larger of that total variation and ``1e-6`` times half
+    the range of the observed values (1 when they are all equal); neither
+    depends on the values' scale or offset. ``stop_reason`` is ``"gap"``
+    if the iteration stopped because that gap met :attr:`SlpConfig.gap_tol`,
+    and ``"cap"`` if it ran into :attr:`SlpConfig.max_iterations` first.
     """
 
     recovered: np.ndarray
@@ -194,14 +195,6 @@ def slp_recover(g, m, samples, cfg=None):
     When the recovery condition fails the minimizer may be non-unique;
     the solver then returns whatever the iteration converges to, or its
     rounding to the observed values.
-
-    The averages are the sums of the iterates since the last restart,
-    divided by their count at each check only; the observations are
-    written back onto the averaged primal's sampled nodes, so every
-    candidate output equals the observations there exactly (an observed
-    value rounds to itself). Each problem's dual step, ``w / 2`` on all
-    its edges, scales the over-relaxed iterate on its nodes before the
-    edge differences are taken.
     """
     cfg = SlpConfig() if cfg is None else cfg
     return _recover_batch([(g, m, samples)], cfg)[0]
@@ -220,8 +213,9 @@ def _recover_batch(problems, cfg):
 
     Every problem is checked before any solving starts.
     """
-    # the live problems, with their checked values, base primal steps and
-    # distinct observed values (levels)
+    # the live problems, with their base primal steps, their values and
+    # distinct observed values (levels) mapped onto [-1, 1], and what their
+    # output is mapped back with: the values, the levels, mid and half
     live = []
     for g, m, samples in problems:
         if g.edge_count == 0:
@@ -230,14 +224,15 @@ def _recover_batch(problems, cfg):
             raise ValueError("sampling set must be nonempty")
         m.mask(g.node_count)
         values = _check_signal(samples, len(m), "sample values")
-        live.append((g, m, values, _steps(g), np.unique(values)))
-    # per live problem, compacted with the iterates: its input slot, range
-    # of levels, gap floor, primal weight, last restart's iteration and gap,
-    # and its gap at the previous check since (inf right after a restart)
+        levels = np.unique(values)
+        lo, hi = levels[0] / 2, levels[-1] / 2  # halved: no sum overflows
+        mid, half = lo + hi, hi - lo or 1.0
+        unit = ((values - mid) / half, (levels - mid) / half)
+        live.append((g, m, _steps(g), *unit, (values, levels, mid, half)))
+    # per live problem, compacted with the iterates: its input slot, primal
+    # weight, last restart's iteration and gap, and its gap at the previous
+    # check since (inf right after a restart)
     ids = np.arange(len(live))
-    lo = np.array([levels[0] for *_, levels in live])
-    hi = np.array([levels[-1] for *_, levels in live])
-    floor = _GAP_FLOOR * np.maximum(np.abs(lo), np.abs(hi))
     omega = np.ones(len(live))
     start = np.zeros(len(live), dtype=np.int64)
     restart_gap = np.full(len(live), np.inf)
@@ -253,7 +248,7 @@ def _recover_batch(problems, cfg):
         # lay out the live problems' disjoint union: the node and edge ids
         # of each are offset by the nodes before it, and its steps fill its
         # own nodes and edges
-        graphs, sets, values, base, levels = zip(*live)
+        graphs, sets, base, values, levels, observed = zip(*live)
         counts = np.array([g.node_count for g in graphs])
         edge_counts = np.array([g.edge_count for g in graphs])
         offsets = np.cumsum(counts) - counts
@@ -266,9 +261,9 @@ def _recover_batch(problems, cfg):
         w = np.repeat(omega, counts)
         step_x, step_y = base_x / w, _DUAL_STEP * w
         if k == 0:
-            # the first anchor: the observations on sampled nodes, 0 elsewhere
+            # the first anchor: the observations on sampled nodes, 0 (the
+            # midpoint) elsewhere
             x_r[nodes] = samples
-        lo_n, hi_n = np.repeat(lo, counts), np.repeat(hi, counts)
         # each problem's levels, keyed by its position in the layout:
         # complex keys sort by position first, then by value, so a node's
         # search stays within its own problem's levels
@@ -276,9 +271,9 @@ def _recover_batch(problems, cfg):
         level_values = np.concatenate(levels)
         level_keys = np.repeat(np.arange(len(live)), level_counts) + 1j * level_values
         owner = np.repeat(np.arange(len(live)), counts)
-        level_ends = np.cumsum(level_counts)
-        first_level = np.repeat(level_ends - level_counts, counts)
-        last_level = np.repeat(level_ends - 1, counts)
+        level_starts = np.cumsum(level_counts) - level_counts
+        first_level = np.repeat(level_starts, counts)
+        last_level = np.repeat(level_starts + level_counts - 1, counts)
         n = x.size
 
         def tv_of(v):
@@ -287,7 +282,7 @@ def _recover_batch(problems, cfg):
 
         def bound_of(r):
             """Each live problem's bound from the dual of adjoint image ``r``."""
-            t = np.minimum(lo_n * r, hi_n * r)
+            t = -np.abs(r)
             t[nodes] = samples * r[nodes]
             return np.add.reduceat(t, offsets)
 
@@ -319,13 +314,14 @@ def _recover_batch(problems, cfg):
             # candidate for the output
             better = np.where(np.repeat(tv_a <= tv_x, counts), avg, x)
             i = np.searchsorted(level_keys, owner + 1j * better)
-            below = level_values[np.maximum(i - 1, first_level)]
-            above = level_values[np.minimum(i, last_level)]
-            snapped = np.where(above - better < better - below, above, below)
+            below, above = np.maximum(i - 1, first_level), np.minimum(i, last_level)
+            near = level_values[above] - better < better - level_values[below]
+            pick = np.where(near, above, below)
+            snapped = level_values[pick]
             tv_r = tv_of(snapped)
             tv = np.minimum(np.minimum(tv_a, tv_x), tv_r)
             bound = np.maximum(bound_a, bound_x)
-            met = tv - bound <= cfg.gap_tol * np.maximum(tv, floor)
+            met = tv - bound <= cfg.gap_tol * np.maximum(tv, _GAP_FLOOR)
             done = met | (k == cfg.max_iterations)
             # restart the others at the pair with the smaller gap of its own
             gap_a, gap_x = tv_a - bound_a, tv_x - bound_x
@@ -347,7 +343,7 @@ def _recover_batch(problems, cfg):
                 dx, dy = x - x_r, y - y_r
                 move_x = np.sqrt(np.add.reduceat(dx * dx / base_x, offsets))
                 move_y = np.sqrt(np.add.reduceat(dy * dy, edge_offsets) / _DUAL_STEP)
-                tune = restart & (move_x > _MIN_MOVE * (hi - lo)) & (move_y > _MIN_MOVE)
+                tune = restart & (move_x > _MIN_MOVE) & (move_y > _MIN_MOVE)
                 omega[tune] = np.exp(
                     _THETA * np.log(move_y[tune] / move_x[tune])
                     + (1.0 - _THETA) * np.log(omega[tune])
@@ -365,19 +361,25 @@ def _recover_batch(problems, cfg):
                 # a stopped problem's iterates are as they were at its
                 # check; its rounded candidate wins only a strict decrease
                 use_r = tv_r < np.minimum(tv_a, tv_x)
-                out = np.where(np.repeat(use_r, counts), snapped, better)
                 break
 
-        den = np.maximum(tv, floor)
-        gaps = np.divide(tv - bound, den, out=np.zeros_like(tv), where=den > 0)
+        # map each stopped problem's output back: a rounded output takes
+        # its levels by index, and sampled nodes their observations
+        gaps = (tv - bound) / np.maximum(tv, _GAP_FLOOR)
         for b in np.flatnonzero(done):
-            recovered = out[offsets[b] : offsets[b] + counts[b]].copy()
+            obs, obs_levels, mid, half = observed[b]
+            part = slice(offsets[b], offsets[b] + counts[b])
+            if use_r[b]:
+                recovered = obs_levels[pick[part] - level_starts[b]]
+            else:
+                recovered = mid + half * better[part]
+            recovered[sets[b].nodes] = obs
             recovered.setflags(write=False)
             results[ids[b]] = SlpResult(
                 recovered=recovered,
                 iterations_run=k,
                 gap=float(gaps[b]),
-                lower_bound=float(bound[b]),
+                lower_bound=float(half * bound[b]),
                 stop_reason="gap" if met[b] else "cap",
             )
         # carry the survivors over to the next layout: their iterates, and
@@ -385,8 +387,8 @@ def _recover_batch(problems, cfg):
         keep, edge_keep = np.repeat(~done, counts), np.repeat(~done, edge_counts)
         x, z, x_sum, x_r = x[keep], z[keep], x_sum[keep], x_r[keep]
         y, y_sum, y_r = y[edge_keep], y_sum[edge_keep], y_r[edge_keep]
-        ids, lo, hi, floor, omega, start, restart_gap, last_gap = (
-            a[~done] for a in (ids, lo, hi, floor, omega, start, restart_gap, last_gap)
+        ids, omega, start, restart_gap, last_gap = (
+            a[~done] for a in (ids, omega, start, restart_gap, last_gap)
         )
         live = [p for p, stop in zip(live, done) if not stop]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Partition, clustered_signal
+from .graph import Graph, Partition, _check_ids, clustered_signal
 from .rng import as_generator
 
 __all__ = [
@@ -35,7 +35,7 @@ class AppmSpec:
     q_inter: float
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.cluster_sizes)
+        sizes = tuple(_check_ids(self.cluster_sizes, "cluster_sizes").tolist())
         object.__setattr__(self, "cluster_sizes", sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("cluster_sizes must be a nonempty tuple of positive ints")
@@ -54,7 +54,7 @@ class AppmSpec:
         return len(self.cluster_sizes)
 
     def _check_cluster(self, cluster_id):
-        cluster_id = int(cluster_id)
+        cluster_id = int(_check_ids(cluster_id, "cluster ids"))
         if not 0 <= cluster_id < self.cluster_count:
             raise ValueError(f"unknown cluster id {cluster_id}")
         return cluster_id

@@ -439,16 +439,16 @@ def experiment_digests(tmp_path, capsys, which, runs):
 # promised.
 PINNED_CERTIFIED_EXPERIMENT_FILES = {
     "table1": {
-        "table1_summary.csv": "0978b4633752b4cd4519abe208fd66c8103d5ba0a3ba605010e99c9e1d7cb4fc",
+        "table1_summary.csv": "de945decc15dfbbbf101fb17f4727315b0729ee7b0063abbb917cf3a604c1435",
         "table1_trials_budget10.csv": "fce4c709f699d7cdc48d0c76385906afa619ff383da4acc442a1d24bae03fa24",
         "table1_trials_budget20.csv": "a4bb85fd96a17f5d2d1afbc56b0e819a3f321982e18194e3cf9e71a86543241f",
-        "table1_trials_budget30.csv": "8fbc512f3e4744e8f531d14ddd8a1f466e1c32d84fa2feaeb8ab1187d4fb4b20",
-        "table1_trials_budget40.csv": "ed3e79487b3e1371982767ef964a47f507ab3a2734831a7640b244470d1b632b",
-        "table1_trials_budget50.csv": "daddf5518915c108d36cddb2fe0c4a4d5e9e22a227bf454b79ff8b91128ede42",
+        "table1_trials_budget30.csv": "b715affe0be4b550eef7d355eb3068cf930a6eeb6568ae8368967ea72d384f46",
+        "table1_trials_budget40.csv": "103aa6fc5480f47f02b673b61573c800d840dae468dcc5ec774e529c6f5de9fd",
+        "table1_trials_budget50.csv": "8ce09628cfcfe4314fbb4fdc496d534c33659c4d75180b1733ec2d23580b1463",
     },
     "clusterstats": {
         "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
-        "clusterstats_trials.csv": "276eeee3620221ad65689982b8ee33de328aa99c561ca25af56b79307bac1e00",
+        "clusterstats_trials.csv": "a517642c6b257b2f6127c3351b098a8fa9b6a5fb3f2d2e37b3cff75f0809e67b",
     },
 }
 
@@ -464,12 +464,12 @@ def test_seeded_certified_experiment_files_are_pinned(tmp_path, capsys, which):
 # walker does most of the drawing. Recorded with the same numpy build as
 # PINNED_CERTIFIED_EXPERIMENT_FILES.
 PINNED_CERTIFIED_TABLE2_FILES = {
-    "table2_summary.csv": "c9cdf7aae3f4908d735801257ac19f3f8e79e5a62d16c5cf4ce785f5754b0ec4",
+    "table2_summary.csv": "2497f7d67319951c49e918bb6746057055d42d751c103ab7f34f11c2f253aca2",
     "table2_trials_walk_length20.csv": "c0fa053f3c3bf5b9eb84f727b8b8873d41cbfb3ac515be6e8d7b37a4ff20812c",
     "table2_trials_walk_length40.csv": "c43d0f44aceb6456db60bbc8925e190789230fe6c10750cc8f0b333da669b10d",
     "table2_trials_walk_length80.csv": "ab45cc82d9fca8c5a41b364f372d766a247e6ccbdc1616a38958cb57a004c1d6",
     "table2_trials_walk_length160.csv": "eb4576f70f838a3df09840670399ca50144dcb74a36d1688bdddd1f8a416138e",
-    "table2_trials_walk_length320.csv": "ecfca22f17e2c23101c94c4f046e2fdbc6f1af764b1e0d26ab794113e9454f08",
+    "table2_trials_walk_length320.csv": "c3716735c687a8fb83cf3a114a6e0eccae26acce5b6c81165e3afec5121bdd96",
 }
 
 
@@ -541,7 +541,7 @@ PINNED_PIPELINE_FILES = {
         "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "0d1b5538349596f46d8f5d062c8736027d01882a7fbe2a62fbe5599dce8da8d1",
+        "xhat.csv": "a3165a321d49dbc42efd666f6992500953d91aafc9d9d75bdef9bd87c7ff1381",
     },
     True: {
         "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",

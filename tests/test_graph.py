@@ -4,15 +4,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rwtv import (
+    AppmSpec,
     Graph,
     Partition,
+    RngSeed,
     SamplingSet,
     clustered_signal,
     cut_size,
+    expected_degree,
     incidence_apply,
     incidence_transpose_apply,
     is_bipartite,
     is_connected,
+    random_walk,
     total_variation,
 )
 from strategies import graphs, graphs_with_signal, graphs_with_two_signals
@@ -86,6 +90,27 @@ def test_fractional_ids_rejected_rather_than_truncated(make, whole, what, bad):
     make(whole)  # integral floats pass
     with pytest.raises(ValueError, match=f"{what} must be integers, got {bad}"):
         make([whole[0], bad])
+
+
+@pytest.mark.parametrize(
+    "make, whole, fraction, what",
+    [
+        (lambda n: Graph(n, [(0, 1)]), 2.0, 2.5, "node counts"),
+        (lambda s: AppmSpec((10, s), 0.3, 0.05), 20.0, 20.9, "cluster_sizes"),
+        (lambda s: Partition.from_sizes([s, 1]), 2.0, 2.7, "cluster sizes"),
+        (lambda c: cut_size(*two_triangles_with_bridge(), c), 1.0, 0.9, "cluster ids"),
+        (lambda i: triangle().neighbors(i), 1.0, 1.5, "node ids"),
+        (lambda i: random_walk(triangle(), i, 3, RngSeed(0)), 0.0, 0.5, "node ids"),
+        (lambda c: expected_degree(AppmSpec((10, 20), 0.3, 0.05), c), 1.0, 1.5, "cluster ids"),
+    ],
+)
+def test_fractional_counts_and_ids_rejected_rather_than_truncated(make, whole, fraction, what):
+    make(whole)  # integral floats pass
+    for bad in (fraction, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"{what} must be integers, got {bad}"):
+            make(bad)
+    with pytest.raises(ValueError, match=f"{what} must be integers below 2"):
+        make(2**70)
 
 
 def test_isolated_nodes_allowed():

@@ -130,22 +130,27 @@ def test_matches_dense_reference_iteration():
     # up to the first gap check, which is at k = 10 or at the cap, no
     # restart happens; at the check the solver returns the lowest-TV of the
     # last primal iterate, the averaged one, and the better of the two
-    # rounded to the observed values
+    # rounded to the observed values. The solver iterates on the values
+    # mapped onto [-1, 1], so the reference runs on them too, and its
+    # iterates are mapped back
     for seed in range(6):
         g, m, values = random_instance(seed)
+        lo, hi = values.min(), values.max()
+        mid, half = (lo + hi) / 2, (hi - lo) / 2 or 1.0
+        unit = (values - mid) / half
         for k in (1, 2, 3, 10):
             res = slp_recover(g, m, values, SlpConfig(max_iterations=k))
-            ref_avg, primals, duals = reference_slp(g, m.nodes, values, k)
+            ref_avg, primals, duals = reference_slp(g, m.nodes, unit, k)
             tv_a, tv_x = total_variation(g, ref_avg), total_variation(g, primals[-1])
             better = ref_avg if tv_a <= tv_x else primals[-1]
-            snapped = nearest_observed(better, values)
+            snapped = nearest_observed(better, unit)
             if total_variation(g, snapped) < min(tv_a, tv_x):
                 better = snapped
             assert res.iterations_run == k
-            assert res.recovered == pytest.approx(better, abs=1e-12)
+            assert res.recovered == pytest.approx(mid + half * better, abs=1e-12)
             # feasibility holds at every primal iterate, exactly
             for x in primals:
-                assert np.array_equal(x[m.nodes], values)
+                assert np.array_equal(x[m.nodes], unit)
             # dual iterates stay inside the unit box at all iterations
             for y in duals:
                 assert np.all(np.abs(y) <= 1.0)
@@ -169,50 +174,50 @@ def test_deterministic():
 # (budget, trial index, iterations_run, SHA-256 of recovered.tobytes()) of
 # reference trials at seed 7, solved with BENCHMARK_SLP
 PINNED_SOLVES = [
-    (10, 0, 100, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
-    (10, 1, 150, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
-    (10, 2, 210, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
-    (10, 3, 80, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
-    (10, 4, 200, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
-    (10, 5, 160, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
-    (10, 6, 190, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
-    (10, 7, 50, "a36518d4a3d90f71179ec901dea2bc2465dd70bfb98553225419096efb4d6ea4"),
-    (10, 8, 260, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
-    (10, 9, 120, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
-    (50, 0, 70, "d0cceba601609c3cfb2b0cb5f3019ac18888e43678cd59652a277023750a5475"),
-    (50, 1, 90, "d868a2d1c23a858979c5cdc15a5a2ed5cffc9627a6add037f1e1f39225979942"),
-    (50, 2, 70, "23585fd86a024397e866854da82bb32c5d905bb31a479fd0b243db079a757593"),
-    (50, 3, 80, "17aabbffb1d04955c0e7d9de13280f9e623b33189958606c1468972f6d623228"),
+    (10, 0, 50, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
+    (10, 1, 110, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
+    (10, 2, 270, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
+    (10, 3, 70, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
+    (10, 4, 210, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
+    (10, 5, 60, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
+    (10, 6, 120, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
+    (10, 7, 40, "a36518d4a3d90f71179ec901dea2bc2465dd70bfb98553225419096efb4d6ea4"),
+    (10, 8, 110, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
+    (10, 9, 90, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
+    (50, 0, 60, "72d26e53d2acb903c8fbe2d8a5d0e5abdc38da2b034565f48ec21f0eb8e00ff6"),
+    (50, 1, 50, "d868a2d1c23a858979c5cdc15a5a2ed5cffc9627a6add037f1e1f39225979942"),
+    (50, 2, 70, "895f44c86ef2d651bfd6a087eab59f6617c6af81365ad3fd8d42cdc2898f40c4"),
+    (50, 3, 70, "a0f24c84e940f73ed890f34ed2569762c33bd76d0b03ce7f14e8d16f0eb3de76"),
     (50, 4, 60, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
-    (50, 5, 70, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
-    (50, 6, 110, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
-    (50, 7, 110, "684b5ffeeb9cf71646420006110f3be9d5dab49536b7ab2a330723152bd4dcbe"),
-    (50, 8, 90, "05ea782a3519ba0381cdf25049c68b70f2cc4ebfb6c57e432d549c702088fff6"),
-    (50, 9, 70, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
+    (50, 5, 90, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
+    (50, 6, 70, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
+    (50, 7, 60, "776f219a5934e7b0cce3a090fa757bbf76481b97974cd27e5503462e8bae475e"),
+    (50, 8, 90, "868a86bae9dd06698a4e7fe4672fe5a5106c9d0f045a48315f477fdb161dd5aa"),
+    (50, 9, 60, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
 ]
 
 # The same solves with the primal weight held at 1 (no re-balancing)
 FIXED_WEIGHT_SOLVES = [
-    (10, 0, 90, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
-    (10, 1, 140, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
-    (10, 2, 190, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
-    (10, 3, 80, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
-    (10, 4, 240, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
-    (10, 5, 110, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
-    (10, 6, 240, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
-    (10, 7, 70, "a36518d4a3d90f71179ec901dea2bc2465dd70bfb98553225419096efb4d6ea4"),
-    (10, 8, 330, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
-    (10, 9, 100, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
-    (50, 0, 80, "d0cceba601609c3cfb2b0cb5f3019ac18888e43678cd59652a277023750a5475"),
-    (50, 1, 120, "a4455d7babeb6d01257eefd679984d1844feb488bcd012940fe682344e1335a7"),
-    (50, 2, 120, "23585fd86a024397e866854da82bb32c5d905bb31a479fd0b243db079a757593"),
-    (50, 3, 100, "29d05b2a4cd3077e9ee9bd17ffffbbfda09d70b0f5119a4460b1af6c54d51708"),
-    (50, 4, 90, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
+    (10, 0, 50, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
+    (10, 1, 120, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
+    (10, 2, 120, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
+    (10, 3, 60, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
+    (10, 4, 270, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
+    (10, 5, 120, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
+    (10, 6, 140, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
+    (10, 7, 30, "a36518d4a3d90f71179ec901dea2bc2465dd70bfb98553225419096efb4d6ea4"),
+    (10, 8, 140, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
+    (10, 9, 90, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
+    (50, 0, 60, "72d26e53d2acb903c8fbe2d8a5d0e5abdc38da2b034565f48ec21f0eb8e00ff6"),
+    (50, 1, 90, "d868a2d1c23a858979c5cdc15a5a2ed5cffc9627a6add037f1e1f39225979942"),
+    (50, 2, 80, "895f44c86ef2d651bfd6a087eab59f6617c6af81365ad3fd8d42cdc2898f40c4"),
+    (50, 3, 70, "a0f24c84e940f73ed890f34ed2569762c33bd76d0b03ce7f14e8d16f0eb3de76"),
+    (50, 4, 60, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
     (50, 5, 60, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
-    (50, 6, 140, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
-    (50, 7, 250, "70cf4311a860a040b7ca1af989de68a55120e8ce298cd03cfec8407e7d39fb91"),
-    (50, 8, 290, "868a86bae9dd06698a4e7fe4672fe5a5106c9d0f045a48315f477fdb161dd5aa"),
-    (50, 9, 60, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
+    (50, 6, 70, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
+    (50, 7, 50, "776f219a5934e7b0cce3a090fa757bbf76481b97974cd27e5503462e8bae475e"),
+    (50, 8, 100, "868a86bae9dd06698a4e7fe4672fe5a5106c9d0f045a48315f477fdb161dd5aa"),
+    (50, 9, 50, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
 ]
 
 
@@ -228,14 +233,14 @@ def reference_trial(budget, index):
 
 
 def assert_solves_match(table):
-    for budget, index, iterations, digest in table:
+    # the whole table at once, so that a failure shows every moved row
+    solved = []
+    for budget, index, _, _ in table:
         g, m, values = reference_trial(budget, index)
         res = slp_recover(g, m, values, BENCHMARK_SLP)
-        assert res.iterations_run == iterations, (budget, index)
-        assert hashlib.sha256(res.recovered.tobytes()).hexdigest() == digest, (
-            budget,
-            index,
-        )
+        digest = hashlib.sha256(res.recovered.tobytes()).hexdigest()
+        solved.append((budget, index, res.iterations_run, digest))
+    assert solved == table
 
 
 def test_seeded_reference_solves_are_pinned():
@@ -280,7 +285,7 @@ def test_batch_matches_serial_solves_bit_for_bit():
 def test_certified_batch_matches_serial_solves_bit_for_bit(monkeypatch):
     # a cap off the check grid stops the slowest problems between checks
     problems = mixed_batch()
-    cfg = SlpConfig(max_iterations=143, gap_tol=1e-3)
+    cfg = SlpConfig(max_iterations=103, gap_tol=1e-3)
     serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
     batch = _recover_batch(problems, cfg)
     for a, b in zip(batch, serial):
@@ -345,26 +350,53 @@ def test_certified_rule_stops_when_the_optimum_is_zero():
 
 
 def test_batch_matches_lone_solves_across_value_scales():
-    # each problem rounds to its own observed values only, whatever the
-    # scale and offset of the other problems' values in the batch; and the
-    # primal weight re-balances at any scale, so every problem stops by
-    # the gap
-    problems = []
-    scalings = [(1e-9, 0.0), (1.0, 0.0), (1e9, 0.0), (1.0, -1e6)]
-    for index, (scale, shift) in enumerate(scalings):
+    # each problem is solved on its values mapped onto [-1, 1], so a solve
+    # runs alike at any scale and offset of its values: as many iterations
+    # as unscaled, a stop by the gap, and a total variation within gap_tol
+    # of the LP optimum, up to rounding. Each problem rounds to its own
+    # observed values only, whatever the other problems' values in the batch
+    cfg = BENCHMARK_SLP
+    scalings = [(1.0, 0.0), (1e-9, 0.0), (1e9, 0.0), (1.0, 1e6), (1.0, -1e6), (1.0, 1e9)]
+    problems, optima = [], []
+    for index in range(5):
         g, m, values = reference_trial(10, index)
-        problems.append((g, m, values * scale + shift))
+        for scale, shift in scalings:
+            observed = values * scale + shift
+            # total variation does not change under a shift, and removing
+            # the shift from the observations is exact
+            _, tv_opt = tv_min_lp(g, m.nodes, (observed - shift) / scale)
+            problems.append((g, m, observed))
+            optima.append(scale * tv_opt)
     g, m, _ = reference_trial(50, 0)
     problems.append((g, m, np.full(len(m), 2.5e-9)))
     problems.append((g, sampling_set(m.nodes[:1]), [-4e8]))
-    batch = _recover_batch(problems, BENCHMARK_SLP)
-    for (g, m, values), a in zip(problems, batch):
-        b = slp_recover(g, m, values, BENCHMARK_SLP)
+    optima += [0.0, 0.0]
+    batch = _recover_batch(problems, cfg)
+    for (g, m, values), tv_opt, a in zip(problems, optima, batch):
+        b = slp_recover(g, m, values, cfg)
         assert a.recovered.tobytes() == b.recovered.tobytes()
         assert a.iterations_run == b.iterations_run
         assert (a.gap, a.lower_bound) == (b.gap, b.lower_bound)
         assert a.stop_reason == "gap"
+        tv = total_variation(g, a.recovered)
+        assert tv <= tv_opt * (1 + cfg.gap_tol + 1e-9)
+    for index in range(5):
+        unscaled = batch[index * len(scalings)].iterations_run
+        rows = batch[index * len(scalings) : (index + 1) * len(scalings)]
+        assert [r.iterations_run for r in rows] == [unscaled] * len(scalings), index
     assert len({r.iterations_run for r in batch}) > 2
+
+
+def test_rounded_outputs_take_the_observed_values_exactly():
+    # this solve stops on its rounded candidate, and one of its levels does
+    # not survive the map onto [-1, 1] and back bit for bit, yet every
+    # output value is an observed one
+    g, m, values = reference_trial(50, 2)
+    levels = np.unique(values)
+    mid, half = (levels[0] + levels[-1]) / 2, (levels[-1] - levels[0]) / 2
+    assert np.any(mid + half * ((levels - mid) / half) != levels)
+    res = slp_recover(g, m, values, BENCHMARK_SLP)
+    assert set(res.recovered.tolist()) == set(levels.tolist())
 
 
 def test_certified_rule_gives_isolated_nodes_a_finite_step():
@@ -373,8 +405,9 @@ def test_certified_rule_gives_isolated_nodes_a_finite_step():
     assert step_x.tolist() == [1.0, 0.5, 1.0, 1.0, 1.0]
     assert step_y.tolist() == [0.5, 0.5]
     res = slp_recover(g, sampling_set([0, 2, 4]), [2.0, 1.0, 3.0], BENCHMARK_SLP)
-    # the unsampled isolated node keeps its start, the sampled one its value
-    assert res.recovered[3] == 0.0 and res.recovered[4] == 3.0
+    # the unsampled isolated node keeps its start, the midpoint of the
+    # observed values, and the sampled one its value
+    assert res.recovered[3] == 2.0 and res.recovered[4] == 3.0
     assert np.all(np.isfinite(res.recovered))
     assert total_variation(g, res.recovered) == pytest.approx(1.0, abs=1e-3)
 
@@ -400,7 +433,8 @@ def test_capped_solves_report_a_valid_certificate():
         assert res.iterations_run == cfg.max_iterations
         assert res.stop_reason == ("gap" if res.gap <= cfg.gap_tol else "cap")
         assert res.lower_bound <= tv_opt + 1e-12
-        scale = max(tv, 1e-6 * np.abs(values).max())
+        # the gap floor is 1e-6 times half the observed range (1 if none)
+        scale = max(tv, 1e-6 * ((values.max() - values.min()) / 2 or 1.0))
         assert res.gap == pytest.approx((tv - res.lower_bound) / scale, abs=1e-12)
         gaps.append(res.gap)
     assert max(gaps) > cfg.gap_tol
