@@ -235,6 +235,10 @@ def _check_ids(ids, what):
         bad = ~(np.isfinite(a) & (a == np.trunc(a)))
         if np.any(bad):
             raise ValueError(f"{what} must be integers, got {a[bad][0]}")
+    # the cast wraps unsigned and float values beyond the int64 range, and
+    # raises on Python ints beyond it
+    if a.dtype.kind in "fu" and a.size and not -(2**63) <= a.min() <= a.max() < 2**63:
+        raise ValueError(f"{what} must be integers below 2**63")
     try:
         return np.asarray(a, dtype=np.int64)
     except OverflowError:

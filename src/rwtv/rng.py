@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _check_ids
+
 __all__ = ["RngSeed", "as_generator"]
 
 _U64 = 2**64
@@ -36,7 +38,14 @@ class RngSeed:
         return np.random.default_rng(ss)
 
     def substream(self, index) -> "RngSeed":
-        index = int(index)
+        """The stream ``index`` places after this one, modulo 2**64.
+
+        ``index`` must be an integer in [0, 2**63): a fractional, infinite
+        or NaN index raises ``ValueError`` rather than being truncated, and
+        so does an index of 2**63 or more, which earlier versions accepted
+        modulo 2**64.
+        """
+        index = int(_check_ids(index, "substream indices"))
         if index < 0:
             raise ValueError("substream index must be nonnegative")
         return RngSeed(self.seed, (self.stream + index) % _U64)

@@ -3,34 +3,39 @@
 The solver looks for the signal of minimum total variation that agrees
 with the observed values on the sampling set. It runs a first-order
 primal-dual iteration (a saddle-point method of the Pock-Chambolle
-family, known in this setting as sparse label propagation): a dual edge
-variable is updated through the incidence operator and projected onto
-the unit box, the primal node variable takes a gradient step through the
-adjoint and is then overwritten with the observations on sampled nodes,
-and an over-relaxed copy feeds the next dual step. The incidence
-operator D, its adjoint Dᵀ and the box projection are shared with the
-public operators: :func:`~rwtv.graph.incidence_apply`,
+family, known in this setting as sparse label propagation), restarted
+and accelerated by a Halpern step (Lu and Yang, "Restarted Halpern PDHG
+for linear programming", 2024). The incidence operator D, its adjoint Dᵀ
+and the box projection are shared with the public operators:
+:func:`~rwtv.graph.incidence_apply`,
 :func:`~rwtv.graph.incidence_transpose_apply` and :func:`clip` are their
 checked forms.
 
-The iteration takes diagonal steps (Pock and Chambolle, ICCV 2011:
-``1 / degree`` per node, ``1 / 2`` per edge) and keeps the sums of the
-primal and the dual iterates since the last restart. Every 10 iterations
-it divides the sums into averages, writes the observations back onto the
-averaged primal's sampled nodes, and bounds the optimum from below with
-the last and the averaged dual. It then has three candidate outputs: the
-last primal iterate, the averaged one, and the one of the two with the
-smaller total variation with each node rounded to the nearest of its
-problem's observed values (the lower one on a tie). By the co-area
-formula some minimizer takes only observed values (Chambolle, EMMCVPR
-2005), so near the optimum the rounding often lands on one. The iteration
-stops once the smallest total variation of the three is within
-:attr:`SlpConfig.gap_tol` of the larger bound, and returns that
-candidate; the rounded one only when its total variation is strictly the
-smallest. At the same checks it restarts the iteration from the last or
-the averaged primal-dual pair, whichever has the smaller gap, by the
-rules of PDLP (Applegate et al., NeurIPS 2021); the rounded candidate
-takes no part in the restarts or in the primal weight below.
+Each iteration applies the operator T to the primal node variable ``x``
+and the dual edge variable ``y``: a primal step ``x1 = x - tau Dᵀy``,
+with the observations written onto ``x1``'s sampled nodes, then a dual
+step at the extrapolated primal ``ext = 2 x1 - x``,
+``y1 = box(y + sigma D ext)``, with ``box`` the projection onto [-1, 1]
+and diagonal steps (Pock and Chambolle, ICCV 2011: ``tau = 1 / degree``
+per node, ``sigma = 1 / 2`` per edge). The iterate then moves to
+``anchor + lam (2 T(x, y) - (x, y) - anchor)``, a reflected T pulled
+toward the anchor, the point of the last restart, with
+``lam = (j + 1) / (j + 2)`` after ``j`` iterations since it.
+
+Every 10 iterations the iteration checks T's output. Its bound on the
+optimum (see below) comes from ``y1``, which lies in the box, never from
+the iterate, whose reflected dual ``2 y1 - y`` can leave it. The
+candidate outputs are ``x1``, which meets the observations exactly, and
+``x1`` with each node rounded to the nearest of its problem's observed
+values (the lower one on a tie): by the co-area formula some minimizer
+takes only observed values (Chambolle, EMMCVPR 2005), so near the
+optimum the rounding often lands on one. The iteration stops once the
+smaller total variation of the two is within :attr:`SlpConfig.gap_tol`
+of the bound, and returns that candidate, the rounded one only when its
+total variation is strictly smaller. At the same checks, by the gap
+rules of PDLP (Applegate et al., NeurIPS 2021) applied to ``x1``'s gap,
+it restarts from ``(x1, y1)``, the new anchor; the rounded candidate
+takes no part in the restarts or in the primal weight.
 
 Each problem is solved in one unit: its values are mapped onto [-1, 1]
 by ``v -> (v - mid) / half``, with ``mid`` the midpoint of its observed
@@ -41,17 +46,19 @@ is mapped back once, when it stops, to ``mid + half * u``, with the
 observations on sampled nodes and, for a rounded output, the observed
 values themselves: the mapping does not return every value bit for bit.
 
-Also as in PDLP, each problem carries a primal weight ``w``, which starts
-at 1: its steps are ``1 / (w degree)`` per node and ``w / 2`` per edge,
-whose product does not depend on ``w``, so the steps stay stable. At a
-restart, the primal and the dual restart points' distances from the last
-restart point are measured in the norms of the unweighted steps
+Also as in PDLP, each problem carries a primal weight ``w``, which
+starts at 1: its steps are ``1 / (w degree)`` per node and ``w / 2`` per
+edge, whose product does not depend on ``w``, so the steps stay stable.
+At a restart, the primal and the dual restart points' distances from the
+last restart point are measured in the norms of the unweighted steps
 (``sqrt(sum(degree * dx**2))`` and ``sqrt(sum(2 * dy**2))``), and ``w``
 moves halfway to their ratio in log scale: ``log w`` becomes the mean of
 ``log w`` and ``log(dual distance / primal distance)``, unless either
-distance is at most 1e-10. The first restart point is the observations
-on the sampled nodes, 0 elsewhere, with a zero dual, so that the
-observations' first overwrite does not count as movement.
+distance is at most 1e-10 or the restart is at one of the first two
+checks, whose 10-iteration movements gauge the balance poorly. The first
+anchor, and the first iterate, is the observations on the sampled nodes,
+0 elsewhere, with a zero dual, so that the observations' first overwrite
+does not count as movement.
 
 The bound needs no projection of the dual. Clipping a signal to the
 observed range [-1, 1] raises no edge difference, so some minimizer lies
@@ -62,15 +69,16 @@ optimum is at least ``sum_{i in M} obs_i r_i - sum_{i not in M} |r_i|``.
 One loop solves one problem or many. Many problems are solved as their
 disjoint union: node and edge ids are offset per problem, each problem's
 steps fill its own nodes and edges, and each problem stops and restarts
-on its own, with its sums taken over its own contiguous node and edge
-ranges. Its rounding searches its own observed values only: they are
-keyed ``position + 1j * value``, which sort by position in the union
-first, so a node's key is never compared with another problem's values.
-Every update is elementwise or sums within one problem in the
-same order as a lone solve, so each problem's result is bit-identical to
-solving it alone. When a problem stops, its output is mapped back, and
-the per-problem arrays and the iterates keep only the problems still
-running, laid out afresh. :func:`slp_recover` is a batch of one.
+on its own, with its total variations and bounds summed over its own
+contiguous node and edge ranges. Its rounding searches its own observed
+values only: they are keyed ``position + 1j * value``, which sort by
+position in the union first, so a node's key is never compared with
+another problem's values. Every update is elementwise or sums within one
+problem in the same order as a lone solve, so each problem's result is
+bit-identical to solving it alone. When a problem stops, its output is
+mapped back, and the per-problem arrays and the iterates keep only the
+problems still running, laid out afresh. :func:`slp_recover` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -190,8 +198,8 @@ def slp_recover(g, m, samples, cfg=None):
     The diagonal steps meet the stability condition of Pock and
     Chambolle's diagonal preconditioning, whatever the primal weight that
     re-balances them at each restart (PDLP's update with ``theta = 1/2``,
-    from a first restart point at the observations; see the module
-    docstring). The iteration is deterministic.
+    from a first anchor at the observations; see the module docstring).
+    The iteration is deterministic.
     When the recovery condition fails the minimizer may be non-unique;
     the solver then returns whatever the iteration converges to, or its
     rounding to the observed values.
@@ -238,10 +246,10 @@ def _recover_batch(problems, cfg):
     restart_gap = np.full(len(live), np.inf)
     last_gap = np.full(len(live), np.inf)
     results = [None] * len(live)
-    # x_sum and y_sum: the sums of the iterates since the last restart;
-    # x_r and y_r: the point of the last restart (the anchor)
-    x, z, x_sum, x_r = np.zeros((4, sum(g.node_count for g, *_ in live)))
-    y, y_sum, y_r = np.zeros((3, sum(g.edge_count for g, *_ in live)))
+    # x and y: the Halpern iterates; x_r and y_r: the point of the last
+    # restart (the anchor)
+    x, x_r = np.zeros((2, sum(g.node_count for g, *_ in live)))
+    y, y_r = np.zeros((2, sum(g.edge_count for g, *_ in live)))
 
     k = 0
     while live:
@@ -261,9 +269,9 @@ def _recover_batch(problems, cfg):
         w = np.repeat(omega, counts)
         step_x, step_y = base_x / w, _DUAL_STEP * w
         if k == 0:
-            # the first anchor: the observations on sampled nodes, 0 (the
-            # midpoint) elsewhere
-            x_r[nodes] = samples
+            # the first anchor, and the first iterate: the observations on
+            # sampled nodes, 0 (the midpoint) elsewhere
+            x_r[nodes] = x[nodes] = samples
         # each problem's levels, keyed by its position in the layout:
         # complex keys sort by position first, then by value, so a node's
         # search stays within its own problem's levels
@@ -287,63 +295,57 @@ def _recover_batch(problems, cfg):
             return np.add.reduceat(t, offsets)
 
         while True:
-            # the dual step, constant per problem, scales z on the nodes
-            y += _d(z * step_y, tails, heads)
-            _box(y)
-            grad = _dt(y, tails, heads, n)
-            x_next = x - step_x * grad
-            x_next[nodes] = samples
-            z = 2.0 * x_next - x
-            x = x_next
-            x_sum += x
-            y_sum += y
+            # T: a primal step, then a dual step at the extrapolated primal;
+            # the dual step, constant per problem, scales it on the nodes
+            x1 = x - step_x * _dt(y, tails, heads, n)
+            x1[nodes] = samples
+            ext = 2.0 * x1 - x
+            y1 = _box(y + _d(ext * step_y, tails, heads))
+            # the Halpern step: anchor + lam (2 T(x, y) - (x, y) - anchor),
+            # whose primal half is anchor + lam (ext - anchor)
+            j = k - start
+            lam = (j + 1.0) / (j + 2.0)
+            ext -= x_r
+            ext *= np.repeat(lam, counts)
+            x = ext + x_r
+            y = 2.0 * y1 - y
+            y -= y_r
+            y *= np.repeat(lam, edge_counts)
+            y += y_r
             k += 1
             if k % _CHECK_EVERY and k != cfg.max_iterations:
                 continue
-            # the averages since the last restart, with the observations
-            # written back so that they stay exactly feasible; the last
-            # pair's dual image is grad
-            since = k - start
-            avg = x_sum / np.repeat(since, counts)
-            avg[nodes] = samples
-            y_avg = y_sum / np.repeat(since, edge_counts)
-            tv_x, bound_x = tv_of(x), bound_of(grad)
-            tv_a, bound_a = tv_of(avg), bound_of(_dt(y_avg, tails, heads, n))
-            # the better of the two, with each node rounded to the nearest
-            # of its problem's levels (the lower one on a tie), is a third
-            # candidate for the output
-            better = np.where(np.repeat(tv_a <= tv_x, counts), avg, x)
-            i = np.searchsorted(level_keys, owner + 1j * better)
+            # the candidates: T's output x1, and x1 with each node rounded to
+            # the nearest of its problem's levels (the lower one on a tie);
+            # the bound comes from y1, which lies in the box where the
+            # Halpern dual need not
+            i = np.searchsorted(level_keys, owner + 1j * x1)
             below, above = np.maximum(i - 1, first_level), np.minimum(i, last_level)
-            near = level_values[above] - better < better - level_values[below]
+            near = level_values[above] - x1 < x1 - level_values[below]
             pick = np.where(near, above, below)
-            snapped = level_values[pick]
-            tv_r = tv_of(snapped)
-            tv = np.minimum(np.minimum(tv_a, tv_x), tv_r)
-            bound = np.maximum(bound_a, bound_x)
+            tv_x, tv_r = tv_of(x1), tv_of(level_values[pick])
+            bound = bound_of(_dt(y1, tails, heads, n))
+            tv = np.minimum(tv_x, tv_r)
             met = tv - bound <= cfg.gap_tol * np.maximum(tv, _GAP_FLOOR)
             done = met | (k == cfg.max_iterations)
-            # restart the others at the pair with the smaller gap of its own
-            gap_a, gap_x = tv_a - bound_a, tv_x - bound_x
-            gap = np.minimum(gap_a, gap_x)
+            # restart the others at T's output
+            gap = tv_x - bound
             restart = ~done & (
                 (gap <= _SUFFICIENT * restart_gap)
                 | ((gap <= _NECESSARY * restart_gap) & (gap > last_gap))
-                | (since >= _ARTIFICIAL * k)
+                | (k - start >= _ARTIFICIAL * k)
             )
             last_gap = np.where(restart, np.inf, gap)
             if np.count_nonzero(restart):
                 restart_gap[restart] = gap[restart]
                 start[restart] = k
-                to_avg = restart & (gap_a < gap_x)
-                x = np.where(np.repeat(to_avg, counts), avg, x)
-                y = np.where(np.repeat(to_avg, edge_counts), y_avg, y)
-                # re-balance the steps by the movement from the anchor, in
-                # the norms of the base steps
-                dx, dy = x - x_r, y - y_r
+                # from the third check on, re-balance the steps by the
+                # movement from the anchor, in the norms of the base steps
+                dx, dy = x1 - x_r, y1 - y_r
                 move_x = np.sqrt(np.add.reduceat(dx * dx / base_x, offsets))
                 move_y = np.sqrt(np.add.reduceat(dy * dy, edge_offsets) / _DUAL_STEP)
                 tune = restart & (move_x > _MIN_MOVE) & (move_y > _MIN_MOVE)
+                tune &= k > 2 * _CHECK_EVERY
                 omega[tune] = np.exp(
                     _THETA * np.log(move_y[tune] / move_x[tune])
                     + (1.0 - _THETA) * np.log(omega[tune])
@@ -352,27 +354,24 @@ def _recover_batch(problems, cfg):
                 step_x, step_y = base_x / w, _DUAL_STEP * w
                 node_reset = np.repeat(restart, counts)
                 edge_reset = np.repeat(restart, edge_counts)
-                z = np.where(node_reset, x, z)
-                x_r = np.where(node_reset, x, x_r)
-                y_r = np.where(edge_reset, y, y_r)
-                x_sum[node_reset] = 0.0
-                y_sum[edge_reset] = 0.0
+                x = np.where(node_reset, x1, x)
+                y = np.where(edge_reset, y1, y)
+                x_r = np.where(node_reset, x1, x_r)
+                y_r = np.where(edge_reset, y1, y_r)
             if np.count_nonzero(done):
-                # a stopped problem's iterates are as they were at its
-                # check; its rounded candidate wins only a strict decrease
-                use_r = tv_r < np.minimum(tv_a, tv_x)
                 break
 
-        # map each stopped problem's output back: a rounded output takes
-        # its levels by index, and sampled nodes their observations
+        # map each stopped problem's output back: the rounded candidate
+        # wins only a strict decrease and takes its levels by index, and
+        # sampled nodes take their observations
         gaps = (tv - bound) / np.maximum(tv, _GAP_FLOOR)
         for b in np.flatnonzero(done):
             obs, obs_levels, mid, half = observed[b]
             part = slice(offsets[b], offsets[b] + counts[b])
-            if use_r[b]:
+            if tv_r[b] < tv_x[b]:
                 recovered = obs_levels[pick[part] - level_starts[b]]
             else:
-                recovered = mid + half * better[part]
+                recovered = mid + half * x1[part]
             recovered[sets[b].nodes] = obs
             recovered.setflags(write=False)
             results[ids[b]] = SlpResult(
@@ -385,8 +384,7 @@ def _recover_batch(problems, cfg):
         # carry the survivors over to the next layout: their iterates, and
         # their entries of every per-problem array
         keep, edge_keep = np.repeat(~done, counts), np.repeat(~done, edge_counts)
-        x, z, x_sum, x_r = x[keep], z[keep], x_sum[keep], x_r[keep]
-        y, y_sum, y_r = y[edge_keep], y_sum[edge_keep], y_r[edge_keep]
+        x, x_r, y, y_r = x[keep], x_r[keep], y[edge_keep], y_r[edge_keep]
         ids, omega, start, restart_gap, last_gap = (
             a[~done] for a in (ids, omega, start, restart_gap, last_gap)
         )

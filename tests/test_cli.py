@@ -439,16 +439,16 @@ def experiment_digests(tmp_path, capsys, which, runs):
 # promised.
 PINNED_CERTIFIED_EXPERIMENT_FILES = {
     "table1": {
-        "table1_summary.csv": "de945decc15dfbbbf101fb17f4727315b0729ee7b0063abbb917cf3a604c1435",
+        "table1_summary.csv": "54b179a29f546754bdcedb2c1e425ae74166474961fc5f22c0df8cfd6509ae2a",
         "table1_trials_budget10.csv": "fce4c709f699d7cdc48d0c76385906afa619ff383da4acc442a1d24bae03fa24",
         "table1_trials_budget20.csv": "a4bb85fd96a17f5d2d1afbc56b0e819a3f321982e18194e3cf9e71a86543241f",
-        "table1_trials_budget30.csv": "b715affe0be4b550eef7d355eb3068cf930a6eeb6568ae8368967ea72d384f46",
-        "table1_trials_budget40.csv": "103aa6fc5480f47f02b673b61573c800d840dae468dcc5ec774e529c6f5de9fd",
-        "table1_trials_budget50.csv": "8ce09628cfcfe4314fbb4fdc496d534c33659c4d75180b1733ec2d23580b1463",
+        "table1_trials_budget30.csv": "cf325386d25210a20dce9feb9e61baa807582f0e4120d8286cbcdcb3225a6dde",
+        "table1_trials_budget40.csv": "e962f2e3fce443daad442c6672e12a37fa351b77ff4e0b0ad8e3dc3d205f7fc5",
+        "table1_trials_budget50.csv": "7b1ca913e05f5633235e7809d66682a72e1e6c56e8b85cdb0f99b17efa9ef8a9",
     },
     "clusterstats": {
         "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
-        "clusterstats_trials.csv": "a517642c6b257b2f6127c3351b098a8fa9b6a5fb3f2d2e37b3cff75f0809e67b",
+        "clusterstats_trials.csv": "b1c933e4a6f69d942cee7b394f7abf1cad4fa8bd1d895661e33a00d217fe328a",
     },
 }
 
@@ -541,13 +541,13 @@ PINNED_PIPELINE_FILES = {
         "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "a3165a321d49dbc42efd666f6992500953d91aafc9d9d75bdef9bd87c7ff1381",
+        "xhat.csv": "4cc3c3099dfa16b536615dc525a0363492cabd3e395b79151ac8b14c0be2ed7d",
     },
     True: {
         "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "182cfd2358f2c36084ec20b2c203e549472083a54517706c17e9288a601b51eb",
+        "xhat.csv": "11f52d6d626b060598473dd95b1513c17bacd07cf6ad0130aa0569e5a07bbb06",
     },
 }
 

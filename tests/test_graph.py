@@ -92,6 +92,13 @@ def test_fractional_ids_rejected_rather_than_truncated(make, whole, what, bad):
         make([whole[0], bad])
 
 
+@pytest.mark.parametrize("big", [2**63, np.uint64(2**63), 1e19, -1e19])
+def test_ids_beyond_int64_rejected_rather_than_wrapped(big):
+    # unsigned and float ids would wrap in the cast to int64
+    with pytest.raises(ValueError, match="edge endpoints must be integers below 2"):
+        Graph(3, [(0, big)])
+
+
 @pytest.mark.parametrize(
     "make, whole, fraction, what",
     [

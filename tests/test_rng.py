@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rwtv import RngSeed
@@ -11,6 +12,10 @@ from rwtv.rng import as_generator
         (lambda: RngSeed(2**64), ValueError, "seed must be an integer"),
         (lambda: RngSeed(1.5), ValueError, "seed must be an integer"),
         (lambda: RngSeed(0).substream(-1), ValueError, "index must be nonnegative"),
+        (lambda: RngSeed(1).substream(2.5), ValueError, "indices must be integers"),
+        (lambda: RngSeed(1).substream(np.inf), ValueError, "indices must be integers"),
+        (lambda: RngSeed(1).substream(np.nan), ValueError, "indices must be integers"),
+        (lambda: RngSeed(1).substream(2**63), ValueError, "integers below 2"),
         (lambda: as_generator(42), TypeError, "expected RngSeed or numpy Generator"),
     ],
 )
