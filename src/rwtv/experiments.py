@@ -68,7 +68,7 @@ CLUSTER_STATS_BUDGET = 50
 # seed 7 and budgets 10 and 50, the recovered total variation equalled the
 # LP optimum up to a relative 1e-12 in all 40, after a median of 60 and at
 # most 200 iterations. A table1 reference trial (draw, sample, recover,
-# score) takes ~0.9 ms in a batched sweep and ~1.9 ms recovered on its own
+# score) takes ~0.8 ms in a batched sweep and ~1.6 ms recovered on its own
 # (2-core x86 host, numpy 2.4.6, best of 3 runs of run_sweep over 1000
 # trials and of run_trial over 200, both spread evenly over the five
 # budgets).

@@ -305,12 +305,17 @@ def _recover_batch(problems, cfg):
             # whose primal half is anchor + lam (ext - anchor)
             j = k - start
             lam = (j + 1.0) / (j + 2.0)
+            if lam.size == 1:
+                # a lone problem, as in every CLI recover: one scalar
+                lam_x = lam_y = lam[0]
+            else:
+                lam_x, lam_y = np.repeat(lam, counts), np.repeat(lam, edge_counts)
             ext -= x_r
-            ext *= np.repeat(lam, counts)
+            ext *= lam_x
             x = ext + x_r
             y = 2.0 * y1 - y
             y -= y_r
-            y *= np.repeat(lam, edge_counts)
+            y *= lam_y
             y += y_r
             k += 1
             if k % _CHECK_EVERY and k != cfg.max_iterations:

@@ -5,10 +5,18 @@ node pair as an edge independently with probability ``p_intra`` and each
 inter-cluster pair with probability ``q_inter``. Closed-form expectations
 for per-cluster degree and cut size come with the model and are exposed
 for use as statistical oracles.
+
+A draw reads one uniform per node pair from the generator, block by
+block in a fixed order (see :func:`generate_appm`), so a seed gives the
+same graph whatever the chunking. The uniforms are drawn in chunks of at
+most ``_DRAW`` and decoded through a per-spec table of the blocks' rows,
+which has one entry per row, not per pair; the draw still takes O(n²)
+time.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -60,14 +68,52 @@ class AppmSpec:
         return cluster_id
 
 
-@functools.lru_cache(maxsize=16)
-def _upper_pairs(n):
-    """Row and column ids of the pairs above the diagonal of an n x n block,
-    read-only; sweeps draw many graphs with the same cluster sizes."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+# most uniforms drawn at once, which bounds a draw's memory on large specs
+_DRAW = 1 << 18
+
+# sweeps draw many graphs from one spec, and partitions are read-only
+_partition = functools.lru_cache(maxsize=16)(Partition.from_sizes)
+
+
+@functools.lru_cache(maxsize=4)
+def _row_table(spec):
+    """Where each node pair of ``spec`` falls in the draw's stream.
+
+    Returns ``(start, tail, head0, bounds, thresholds)``, in the stream
+    order of :func:`generate_appm`. Row r of the table is one nonempty row
+    of a block: its pairs are stream positions ``start[r]`` on, all with
+    tail ``tail[r]`` and heads ``head0[r]`` on. Block k covers positions
+    ``bounds[k]`` to ``bounds[k + 1]`` and draws an edge below
+    ``thresholds[k]``. The table has one entry per row, O(n * clusters),
+    never one per pair.
+    """
+    sizes = spec.cluster_sizes
+    offsets = np.cumsum((0, *sizes)).tolist()
+    none = np.empty(0, dtype=np.int64)
+    lengths, tails, heads, bounds, thresholds = [none], [none], [none], [0], []
+    for a, n_a in enumerate(sizes):
+        rows = np.arange(offsets[a], offsets[a + 1])
+        if spec.p_intra > 0.0 and n_a > 1:
+            # row i of the intra block holds the pairs (i, i + 1), (i, i + 2), ...
+            lengths.append(np.arange(n_a - 1, 0, -1))
+            tails.append(rows[:-1])
+            heads.append(rows[1:])
+            bounds.append(bounds[-1] + n_a * (n_a - 1) // 2)
+            thresholds.append(spec.p_intra)
+        if spec.q_inter > 0.0:
+            for b in range(a + 1, len(sizes)):
+                lengths.append(np.full(n_a, sizes[b]))
+                tails.append(rows)
+                heads.append(np.full(n_a, offsets[b]))
+                bounds.append(bounds[-1] + n_a * sizes[b])
+                thresholds.append(spec.q_inter)
+    lengths = np.concatenate(lengths)
+    start = np.cumsum(lengths) - lengths
+    tail, head0 = np.concatenate(tails), np.concatenate(heads)
+    thresholds = np.array(thresholds, dtype=np.float64)
+    for arr in (start, tail, head0, thresholds):
+        arr.setflags(write=False)
+    return start, tail, head0, tuple(bounds), thresholds
 
 
 def generate_appm(spec, rng):
@@ -75,27 +121,37 @@ def generate_appm(spec, rng):
 
     Nodes are laid out in contiguous cluster blocks: the first
     ``cluster_sizes[0]`` node ids form cluster 0, and so on.
+
+    Each node pair takes one uniform from ``rng``, in a fixed order: for
+    each cluster a, its intra pairs (i, j), i < j, row-major, if
+    ``p_intra > 0`` and a has two nodes or more; then, if ``q_inter > 0``,
+    the pairs of a with each later cluster b, row-major. The pair is an
+    edge when its uniform is below its probability. The uniforms are drawn
+    in chunks of at most ``_DRAW``, which read the stream exactly as one
+    draw per block would, and a chunk's hits are decoded to pairs through
+    a table of the spec's block rows (see ``_row_table``).
     """
-    gen = as_generator(rng)
-    sizes = spec.cluster_sizes
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = []
-    for a, n_a in enumerate(sizes):
-        if spec.p_intra > 0.0 and n_a > 1:
-            iu, ju = _upper_pairs(n_a)
-            mask = gen.random(iu.size) < spec.p_intra
-            blocks.append(
-                np.column_stack([iu[mask] + offsets[a], ju[mask] + offsets[a]])
-            )
-        if spec.q_inter > 0.0:
-            for b in range(a + 1, len(sizes)):
-                mask = gen.random((n_a, sizes[b])) < spec.q_inter
-                ii, jj = np.nonzero(mask)
-                blocks.append(
-                    np.column_stack([ii + offsets[a], jj + offsets[b]])
-                )
-    edges = np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    return Graph(spec.node_count, edges), Partition.from_sizes(sizes)
+    edges = _draw_edges(spec, as_generator(rng))
+    return Graph(spec.node_count, edges), _partition(spec.cluster_sizes)
+
+
+def _draw_edges(spec, gen):
+    """The edges of one draw from ``gen`` (see :func:`generate_appm`), as
+    an m x 2 array; the chunks' hits are freed before the graph is built."""
+    start, tail, head0, bounds, thresholds = _row_table(spec)
+    hits = [np.empty(0, dtype=np.int64)]
+    for c0 in range(0, bounds[-1], _DRAW):
+        c1 = min(c0 + _DRAW, bounds[-1])
+        # the blocks lo..hi-1 overlap the chunk; each threshold covers its
+        # block's share of the chunk
+        lo = bisect.bisect_right(bounds, c0) - 1
+        hi = bisect.bisect_left(bounds, c1)
+        seg = np.diff([c0, *bounds[lo + 1 : hi], c1])
+        u = gen.random(c1 - c0)
+        hits.append(np.flatnonzero(u < np.repeat(thresholds[lo:hi], seg)) + c0)
+    hit = np.concatenate(hits)
+    row = np.searchsorted(start, hit, "right") - 1
+    return np.column_stack([tail[row], head0[row] + (hit - start[row])])
 
 
 def expected_degree(spec, cluster_id):

@@ -131,6 +131,20 @@ def test_walks_longer_than_two_blocks_match_reference_walk():
         assert gen.random() == ref.random()
 
 
+def test_step_table_fills_the_rows_a_walk_would_and_keeps_set_rows():
+    edges = [(1, 2), (2, 3), (3, 4), (4, 1), (4, 7)]  # 0, 5, 6, 8 isolated
+    g, lazy = Graph(9, edges), Graph(9, edges)
+    assert g._step_table() == [lazy._step_row(v) for v in range(9)]
+    assert g._step_table() is g._neighbor_lists
+
+    preset = Graph(9, edges)
+    kept = preset._neighbor_lists[4] = [1.0, 0, 0]
+    table = preset._step_table()
+    assert table[4] is kept
+    others = [v for v in range(9) if v != 4]
+    assert [table[v] for v in others] == [lazy._step_row(v) for v in others]
+
+
 # ----------------------------------------------------------- walk sampling
 
 def reference_sampler(g, cfg, gen):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rwtv.synth
+from reference_appm import reference_generate_appm
 from rwtv import (
     AppmSpec,
     RngSeed,
@@ -32,6 +34,56 @@ def test_deterministic_limit_two_disjoint_triangles():
 def test_deterministic_limit_edgeless():
     g, _ = generate_appm(AppmSpec((4, 4), 0.0, 0.0), RngSeed(0))
     assert g.edge_count == 0
+
+
+def assert_draw_matches_reference(spec, seed):
+    # the same edges, the same partition, and the generator left where the
+    # reference draw leaves it
+    gen, ref = RngSeed(seed).generator(), RngSeed(seed).generator()
+    g, part = generate_appm(spec, gen)
+    g_ref, part_ref = reference_generate_appm(spec, ref)
+    assert g.node_count == g_ref.node_count
+    assert np.array_equal(g.edges, g_ref.edges)
+    assert np.array_equal(part.labels, part_ref.labels)
+    assert gen.random() == ref.random()
+
+
+def test_draw_matches_reference_draw():
+    for seed in range(50):
+        assert_draw_matches_reference(BENCH, seed)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AppmSpec((10, 20, 30, 40), 0.0, 0.05),
+        AppmSpec((10, 20, 30, 40), 0.3, 0.0),
+        AppmSpec((10, 20, 30, 40), 0.0, 0.0),
+        AppmSpec((3, 4, 5), 1.0, 1.0),
+        AppmSpec((1, 1, 4, 1), 0.5, 0.3),
+        AppmSpec((12,), 0.4, 0.2),
+        AppmSpec((1,), 0.5, 0.5),
+    ],
+)
+def test_draw_matches_reference_draw_at_edge_cases(spec):
+    for seed in range(5):
+        assert_draw_matches_reference(spec, seed)
+
+
+def test_draw_in_chunks_within_rows_matches_reference_draw(monkeypatch):
+    # chunk boundaries then fall inside blocks and inside their rows
+    monkeypatch.setattr(rwtv.synth, "_DRAW", 7)
+    for spec in (BENCH, AppmSpec((1, 1, 4, 1), 0.5, 0.3), AppmSpec((9,), 0.4, 0.0)):
+        for seed in range(5):
+            assert_draw_matches_reference(spec, seed)
+
+
+def test_draws_of_one_spec_share_a_read_only_partition():
+    _, part = generate_appm(BENCH, RngSeed(1))
+    _, again = generate_appm(BENCH, RngSeed(2))
+    assert again is part
+    assert not part.labels.flags.writeable
+    assert not any(c.flags.writeable for c in part.clusters)
 
 
 def test_same_seed_reproduces_identical_draw():
