@@ -71,14 +71,12 @@ disjoint union: node and edge ids are offset per problem, each problem's
 steps fill its own nodes and edges, and each problem stops and restarts
 on its own, with its total variations and bounds summed over its own
 contiguous node and edge ranges. Its rounding searches its own observed
-values only: they are keyed ``position + 1j * value``, which sort by
-position in the union first, so a node's key is never compared with
-another problem's values. Every update is elementwise or sums within one
-problem in the same order as a lone solve, so each problem's result is
-bit-identical to solving it alone. When a problem stops, its output is
-mapped back, and the per-problem arrays and the iterates keep only the
-problems still running, laid out afresh. :func:`slp_recover` is a batch
-of one.
+values only, in one search per problem. Every update is elementwise or
+sums within one problem in the same order as a lone solve, so each
+problem's result is bit-identical to solving it alone. When a problem
+stops, its output is mapped back, and the per-problem arrays and the
+iterates keep only the problems still running, laid out afresh.
+:func:`slp_recover` is a batch of one.
 """
 
 from __future__ import annotations
@@ -260,6 +258,7 @@ def _recover_batch(problems, cfg):
         counts = np.array([g.node_count for g in graphs])
         edge_counts = np.array([g.edge_count for g in graphs])
         offsets = np.cumsum(counts) - counts
+        parts = [slice(o, o + c) for o, c in zip(offsets.tolist(), counts.tolist())]
         edge_offsets = np.cumsum(edge_counts) - edge_counts
         tails = np.concatenate([g.tails + o for g, o in zip(graphs, offsets)])
         heads = np.concatenate([g.heads + o for g, o in zip(graphs, offsets)])
@@ -272,13 +271,10 @@ def _recover_batch(problems, cfg):
             # the first anchor, and the first iterate: the observations on
             # sampled nodes, 0 (the midpoint) elsewhere
             x_r[nodes] = x[nodes] = samples
-        # each problem's levels, keyed by its position in the layout:
-        # complex keys sort by position first, then by value, so a node's
-        # search stays within its own problem's levels
+        # each problem's levels, one after another, and where each node's
+        # own problem's levels start and end among them
         level_counts = np.array([v.size for v in levels])
         level_values = np.concatenate(levels)
-        level_keys = np.repeat(np.arange(len(live)), level_counts) + 1j * level_values
-        owner = np.repeat(np.arange(len(live)), counts)
         level_starts = np.cumsum(level_counts) - level_counts
         first_level = np.repeat(level_starts, counts)
         last_level = np.repeat(level_starts + level_counts - 1, counts)
@@ -324,7 +320,9 @@ def _recover_batch(problems, cfg):
             # the nearest of its problem's levels (the lower one on a tie);
             # the bound comes from y1, which lies in the box where the
             # Halpern dual need not
-            i = np.searchsorted(level_keys, owner + 1j * x1)
+            i = first_level + np.concatenate(
+                [np.searchsorted(v, x1[part]) for v, part in zip(levels, parts)]
+            )
             below, above = np.maximum(i - 1, first_level), np.minimum(i, last_level)
             near = level_values[above] - x1 < x1 - level_values[below]
             pick = np.where(near, above, below)
@@ -372,11 +370,10 @@ def _recover_batch(problems, cfg):
         gaps = (tv - bound) / np.maximum(tv, _GAP_FLOOR)
         for b in np.flatnonzero(done):
             obs, obs_levels, mid, half = observed[b]
-            part = slice(offsets[b], offsets[b] + counts[b])
             if tv_r[b] < tv_x[b]:
-                recovered = obs_levels[pick[part] - level_starts[b]]
+                recovered = obs_levels[pick[parts[b]] - level_starts[b]]
             else:
-                recovered = mid + half * x1[part]
+                recovered = mid + half * x1[parts[b]]
             recovered[sets[b].nodes] = obs
             recovered.setflags(write=False)
             results[ids[b]] = SlpResult(
