@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .experiments import (
@@ -238,7 +238,10 @@ def _cmd_extract_subgraph(args):
     return 0
 
 
+@cache
 def _build_parser():
+    """The argument parser, built once per process: :func:`main` only
+    parses with it, and nothing mutates it."""
     parser = argparse.ArgumentParser(
         prog="rwtv",
         description="Random-walk sampling and total-variation recovery "
