@@ -66,9 +66,9 @@ CLUSTER_STATS_BUDGET = 50
 # Stopping parameters used by the benchmark sweeps, which stop each solve
 # within 0.1% of the optimal total variation. On the 40 reference trials at
 # seed 7 and budgets 10 and 50, the recovered total variation equalled the
-# LP optimum up to a relative 1e-12 in all 40, after a median of 60 and at
+# LP optimum up to a relative 1e-12 in all 40, after a median of 50 and at
 # most 200 iterations. A table1 reference trial (draw, sample, recover,
-# score) takes ~0.8 ms in a batched sweep and ~1.6 ms recovered on its own
+# score) takes ~0.71 ms in a batched sweep and ~1.4 ms recovered on its own
 # (2-core x86 host, numpy 2.4.6, best of 3 runs of run_sweep over 1000
 # trials and of run_trial over 200, both spread evenly over the five
 # budgets).

@@ -34,8 +34,11 @@ smaller total variation of the two is within :attr:`SlpConfig.gap_tol`
 of the bound, and returns that candidate, the rounded one only when its
 total variation is strictly smaller. At the same checks, by the gap
 rules of PDLP (Applegate et al., NeurIPS 2021) applied to ``x1``'s gap,
-it restarts from ``(x1, y1)``, the new anchor; the rounded candidate
-takes no part in the restarts or in the primal weight.
+it restarts from ``(x1, y1)``, the new anchor, with ``x1`` replaced by its
+rounding when that has strictly smaller total variation: PDLP restarts
+at the better of its candidates, and the rounding keeps every observation
+bit for bit. The restart decision and the primal weight (below) still
+measure ``x1``.
 
 Each problem is solved in one unit: its values are mapped onto [-1, 1]
 by ``v -> (v - mid) / half``, with ``mid`` the midpoint of its observed
@@ -49,7 +52,7 @@ values themselves: the mapping does not return every value bit for bit.
 Also as in PDLP, each problem carries a primal weight ``w``, which
 starts at 1: its steps are ``1 / (w degree)`` per node and ``w / 2`` per
 edge, whose product does not depend on ``w``, so the steps stay stable.
-At a restart, the primal and the dual restart points' distances from the
+At a restart, the distances of T's outputs ``x1`` and ``y1`` from the
 last restart point are measured in the norms of the unweighted steps
 (``sqrt(sum(degree * dx**2))`` and ``sqrt(sum(2 * dy**2))``), and ``w``
 moves halfway to their ratio in log scale: ``log w`` becomes the mean of
@@ -331,7 +334,7 @@ def _recover_batch(problems, cfg):
             tv = np.minimum(tv_x, tv_r)
             met = tv - bound <= cfg.gap_tol * np.maximum(tv, _GAP_FLOOR)
             done = met | (k == cfg.max_iterations)
-            # restart the others at T's output
+            # restart the others at T's output, or at its rounded primal
             gap = tv_x - bound
             restart = ~done & (
                 (gap <= _SUFFICIENT * restart_gap)
@@ -357,9 +360,13 @@ def _recover_batch(problems, cfg):
                 step_x, step_y = base_x / w, _DUAL_STEP * w
                 node_reset = np.repeat(restart, counts)
                 edge_reset = np.repeat(restart, edge_counts)
-                x = np.where(node_reset, x1, x)
+                # the primal restarts at the better candidate: as for the
+                # output, the rounded one only on a strict decrease
+                rounded = np.repeat(tv_r < tv_x, counts)
+                best = np.where(rounded, level_values[pick], x1)
+                x = np.where(node_reset, best, x)
                 y = np.where(edge_reset, y1, y)
-                x_r = np.where(node_reset, x1, x_r)
+                x_r = np.where(node_reset, best, x_r)
                 y_r = np.where(edge_reset, y1, y_r)
             if np.count_nonzero(done):
                 break

@@ -439,12 +439,12 @@ def experiment_digests(tmp_path, capsys, which, runs):
 # promised.
 PINNED_CERTIFIED_EXPERIMENT_FILES = {
     "table1": {
-        "table1_summary.csv": "54b179a29f546754bdcedb2c1e425ae74166474961fc5f22c0df8cfd6509ae2a",
+        "table1_summary.csv": "ddbc1c2ffb0d8d44befadee6d747884b4d02e9c2ba6c4dbddc1fb1981e040ccc",
         "table1_trials_budget10.csv": "fce4c709f699d7cdc48d0c76385906afa619ff383da4acc442a1d24bae03fa24",
         "table1_trials_budget20.csv": "a4bb85fd96a17f5d2d1afbc56b0e819a3f321982e18194e3cf9e71a86543241f",
         "table1_trials_budget30.csv": "cf325386d25210a20dce9feb9e61baa807582f0e4120d8286cbcdcb3225a6dde",
         "table1_trials_budget40.csv": "e962f2e3fce443daad442c6672e12a37fa351b77ff4e0b0ad8e3dc3d205f7fc5",
-        "table1_trials_budget50.csv": "7b1ca913e05f5633235e7809d66682a72e1e6c56e8b85cdb0f99b17efa9ef8a9",
+        "table1_trials_budget50.csv": "bc5460d5927f4ed592b0fc4a5923f02098cc200aa7a875a8547e4fa5a991f84b",
     },
     "clusterstats": {
         "clusterstats_clusters.csv": "f23f09b4fb83e19de2c3100f4c921e4e13884408f91e78eeb784c6e9a0003b6c",
@@ -541,13 +541,13 @@ PINNED_PIPELINE_FILES = {
         "m.csv": "75dddc5f83ad09a8665f73b83b7b9ff06ba1c6f22e9890c21e97ea1fbd1396fe",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "4cc3c3099dfa16b536615dc525a0363492cabd3e395b79151ac8b14c0be2ed7d",
+        "xhat.csv": "09246d737b7bb4a9cff058a27179834076a9ff83e26595248abe8e39d53c13a6",
     },
     True: {
         "m.csv": "5ddfb526336b233c5e26ef60d0f512416e677116caf240db981595cd7b627b83",
         "map.csv": "fa7ac37e8d4f63d5d9a2b009d431330ddd98b212829791bfdce9e1c57e9b652f",
         "sub.txt": "8ea157d362b6d53c679cf474b6dcfa50d797f6b34e1648dc71560e667b3365dc",
-        "xhat.csv": "11f52d6d626b060598473dd95b1513c17bacd07cf6ad0130aa0569e5a07bbb06",
+        "xhat.csv": "b51188126f7f707b03d9e9bf5a4f72d189e6e34da6e17ecd940e3a238b56cda2",
     },
 }
 

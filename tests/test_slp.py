@@ -27,7 +27,7 @@ from rwtv import (
 from rwtv.experiments import BENCHMARK_SLP, BENCHMARK_WALK_LENGTH, benchmark_trial_spec
 from rwtv.slp import _DUAL_STEP, _recover_batch, _steps
 from lp_oracle import dense_incidence, tv_min_lp
-from reference_slp import reference_slp
+from reference_slp import nearest_observed, reference_slp
 from strategies import graphs
 
 
@@ -119,11 +119,11 @@ def test_bridge_instance_exact_recovery():
     )
 
 
-def nearest_observed(v, values):
-    """Each entry of ``v`` replaced by the nearest of the distinct observed
-    values, the lower one on a tie."""
-    levels = np.unique(values)
-    return levels[np.argmin(np.abs(v[:, None] - levels[None, :]), axis=1)]
+def better_candidate(g, v, values):
+    """``v``, or its rounding to the observed values when that has strictly
+    lower total variation."""
+    rounded = nearest_observed(v, values)
+    return rounded if total_variation(g, rounded) < total_variation(g, v) else v
 
 
 def test_matches_dense_reference_iteration():
@@ -140,10 +140,7 @@ def test_matches_dense_reference_iteration():
         for k in (1, 2, 3, 10):
             res = slp_recover(g, m, values, SlpConfig(max_iterations=k))
             primals, duals = reference_slp(g, m.nodes, unit, k)
-            out = primals[-1]
-            snapped = nearest_observed(out, unit)
-            if total_variation(g, snapped) < total_variation(g, out):
-                out = snapped
+            out = better_candidate(g, primals[-1], unit)
             assert res.iterations_run == k
             assert res.recovered == pytest.approx(mid + half * out, abs=1e-12)
             # feasibility holds at every primal output of T, exactly
@@ -152,6 +149,40 @@ def test_matches_dense_reference_iteration():
             # T's dual outputs stay inside the unit box at all iterations
             for y in duals:
                 assert np.all(np.abs(y) <= 1.0)
+
+
+def test_matches_dense_reference_through_the_first_two_restarts():
+    # with gap_tol = 0, PDLP's rules restart every running problem at the
+    # first two checks: at k = 10 because no restart gap is set yet, and at
+    # k = 20 because its 10 iterations since the last restart reach 0.36 of
+    # the 20 run. Each restart goes to T's output, its primal rounded to the
+    # observed values when that strictly lowers the total variation, and
+    # the primal weight stays 1 until k > 20. A solve that stopped before
+    # its cap met a zero gap, and is skipped. At seed 6 the two candidates'
+    # total variations tie up to the last bit at k = 10, so the order of
+    # the sums decides the restart point, and it is left out
+    problems = [random_instance(seed, max_nodes=30) for seed in range(13) if seed != 6]
+    problems += [reference_trial(10, index) for index in range(4)]
+    compared, rounded = 0, 0
+    for g, m, values in problems:
+        lo, hi = values.min(), values.max()
+        mid, half = (lo + hi) / 2, (hi - lo) / 2 or 1.0
+        unit = (values - mid) / half
+        for k in (11, 15, 20, 25):
+            res = slp_recover(g, m, values, SlpConfig(max_iterations=k, gap_tol=0.0))
+            if res.iterations_run < k:
+                continue
+            primals, _ = reference_slp(g, m.nodes, unit, k, restarts=(10, 20))
+            out = better_candidate(g, primals[-1], unit)
+            assert res.recovered == pytest.approx(mid + half * out, abs=1e-12)
+            compared += 1
+            # the restarts before k that went to the rounding
+            rounded += sum(
+                better_candidate(g, primals[r - 1], unit) is not primals[r - 1]
+                for r in (10, 20)
+                if r < k
+            )
+    assert compared > 40 and rounded > 20
 
 
 def test_output_feasibility_exact_at_any_iteration_count():
@@ -172,50 +203,50 @@ def test_deterministic():
 # (budget, trial index, iterations_run, SHA-256 of recovered.tobytes()) of
 # reference trials at seed 7, solved with BENCHMARK_SLP
 PINNED_SOLVES = [
-    (10, 0, 40, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
-    (10, 1, 70, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
+    (10, 0, 30, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
+    (10, 1, 50, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
     (10, 2, 90, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
-    (10, 3, 50, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
-    (10, 4, 120, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
-    (10, 5, 60, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
-    (10, 6, 110, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
+    (10, 3, 60, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
+    (10, 4, 80, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
+    (10, 5, 30, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
+    (10, 6, 80, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
     (10, 7, 30, "a36518d4a3d90f71179ec901dea2bc2465dd70bfb98553225419096efb4d6ea4"),
-    (10, 8, 80, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
-    (10, 9, 80, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
-    (50, 0, 40, "8f8724d11735d6d24195d96406b41f813cdd0ae87881a59554f1693fc0f81fc0"),
-    (50, 1, 80, "ed2e5aa3893ff2c6f2a118d94871935afdcdfbe81ec306090fb0dacd4a46adcd"),
-    (50, 2, 80, "895f44c86ef2d651bfd6a087eab59f6617c6af81365ad3fd8d42cdc2898f40c4"),
+    (10, 8, 70, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
+    (10, 9, 60, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
+    (50, 0, 30, "8f8724d11735d6d24195d96406b41f813cdd0ae87881a59554f1693fc0f81fc0"),
+    (50, 1, 50, "ed2e5aa3893ff2c6f2a118d94871935afdcdfbe81ec306090fb0dacd4a46adcd"),
+    (50, 2, 70, "895f44c86ef2d651bfd6a087eab59f6617c6af81365ad3fd8d42cdc2898f40c4"),
     (50, 3, 50, "a0f24c84e940f73ed890f34ed2569762c33bd76d0b03ce7f14e8d16f0eb3de76"),
-    (50, 4, 60, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
-    (50, 5, 40, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
+    (50, 4, 30, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
+    (50, 5, 30, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
     (50, 6, 70, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
-    (50, 7, 60, "776f219a5934e7b0cce3a090fa757bbf76481b97974cd27e5503462e8bae475e"),
-    (50, 8, 100, "05ea782a3519ba0381cdf25049c68b70f2cc4ebfb6c57e432d549c702088fff6"),
-    (50, 9, 50, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
+    (50, 7, 50, "776f219a5934e7b0cce3a090fa757bbf76481b97974cd27e5503462e8bae475e"),
+    (50, 8, 80, "868a86bae9dd06698a4e7fe4672fe5a5106c9d0f045a48315f477fdb161dd5aa"),
+    (50, 9, 40, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
 ]
 
 # The same solves with the primal weight held at 1 (no re-balancing)
 FIXED_WEIGHT_SOLVES = [
-    (10, 0, 40, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
-    (10, 1, 70, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
-    (10, 2, 110, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
-    (10, 3, 70, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
-    (10, 4, 210, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
-    (10, 5, 60, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
+    (10, 0, 30, "9dd1e05d2093d475351e1fec8844a02350bedd75e5ca89a7927d9feae16ebcb6"),
+    (10, 1, 60, "89cf3382cc119aa4ed0c483182ce7c2b522aa11e61bcc728e87b9ae9de03f4c1"),
+    (10, 2, 90, "a83d134f0a19bb5ec975c34236c32ab8868a83a55922f23d8a542b8e40d612b9"),
+    (10, 3, 120, "52ec8cf2f9c6f533a9fafcd0da628d9027f4cf8b5ba60318ed102590bdf581af"),
+    (10, 4, 80, "a876ff8ef18bbf9424831b53ff52e3844768fba839a2b2ef9a9d1e4a947c61de"),
+    (10, 5, 30, "7cabd69a01bc3fca6b232fe686fab9d51edc3782dbf1f1ed7be8c06726063af2"),
     (10, 6, 90, "7e160f274159f39398ef732998c55a86b5da15c7142b7d36542cb65b87618ce2"),
     (10, 7, 30, "a36518d4a3d90f71179ec901dea2bc2465dd70bfb98553225419096efb4d6ea4"),
-    (10, 8, 80, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
-    (10, 9, 90, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
-    (50, 0, 40, "8f8724d11735d6d24195d96406b41f813cdd0ae87881a59554f1693fc0f81fc0"),
-    (50, 1, 70, "ed2e5aa3893ff2c6f2a118d94871935afdcdfbe81ec306090fb0dacd4a46adcd"),
+    (10, 8, 70, "2d08dd30ec66a09b136c8f279ce637d733d82901327c599ec8b77e7afeb3dda8"),
+    (10, 9, 60, "fe44dbe85a586f49336213d378f960d35c7c1bfec40e7c3ea3cc696f3b5ca4ee"),
+    (50, 0, 30, "8f8724d11735d6d24195d96406b41f813cdd0ae87881a59554f1693fc0f81fc0"),
+    (50, 1, 60, "ed2e5aa3893ff2c6f2a118d94871935afdcdfbe81ec306090fb0dacd4a46adcd"),
     (50, 2, 70, "895f44c86ef2d651bfd6a087eab59f6617c6af81365ad3fd8d42cdc2898f40c4"),
-    (50, 3, 50, "a0f24c84e940f73ed890f34ed2569762c33bd76d0b03ce7f14e8d16f0eb3de76"),
-    (50, 4, 50, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
-    (50, 5, 40, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
-    (50, 6, 60, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
+    (50, 3, 60, "a0f24c84e940f73ed890f34ed2569762c33bd76d0b03ce7f14e8d16f0eb3de76"),
+    (50, 4, 30, "c811f05d7846931e3187cdc6f63e087fc1d134f37b3482663aaf7221204352d8"),
+    (50, 5, 30, "e5297a7cfffdee27e73c3eeb374ab325d070f0aa529dbd404694559eb8f4f820"),
+    (50, 6, 50, "ed0de2646a0d012dedbb24259cdc3acab43c9fc0dc2c677165f7cec6770da093"),
     (50, 7, 50, "776f219a5934e7b0cce3a090fa757bbf76481b97974cd27e5503462e8bae475e"),
-    (50, 8, 100, "05ea782a3519ba0381cdf25049c68b70f2cc4ebfb6c57e432d549c702088fff6"),
-    (50, 9, 50, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
+    (50, 8, 100, "868a86bae9dd06698a4e7fe4672fe5a5106c9d0f045a48315f477fdb161dd5aa"),
+    (50, 9, 40, "abdb33a29f185f27086bf6ae4f9baefe515d3b6a75ff740e09b15de2d86c9e08"),
 ]
 
 
@@ -267,7 +298,7 @@ def test_batch_matches_serial_solves_bit_for_bit():
     # different max degrees (so different steps), different stop
     # iterations, and one problem runs into the cap
     problems = mixed_batch()
-    cfg = SlpConfig(max_iterations=300, gap_tol=1e-4)
+    cfg = SlpConfig(max_iterations=250, gap_tol=1e-4)
     serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
     batch = _recover_batch(problems, cfg)
     assert [r.iterations_run for r in batch] == [r.iterations_run for r in serial]
@@ -283,7 +314,7 @@ def test_batch_matches_serial_solves_bit_for_bit():
 def test_certified_batch_matches_serial_solves_bit_for_bit(monkeypatch):
     # a cap off the check grid stops the slowest problems between checks
     problems = mixed_batch()
-    cfg = SlpConfig(max_iterations=63, gap_tol=1e-3)
+    cfg = SlpConfig(max_iterations=51, gap_tol=1e-3)
     serial = [slp_recover(g, m, v, cfg) for g, m, v in problems]
     batch = _recover_batch(problems, cfg)
     for a, b in zip(batch, serial):
