@@ -329,12 +329,13 @@ def _recover_batch(problems, cfg):
             below, above = np.maximum(i - 1, first_level), np.minimum(i, last_level)
             near = level_values[above] - x1 < x1 - level_values[below]
             pick = np.where(near, above, below)
-            tv_x, tv_r = tv_of(x1), tv_of(level_values[pick])
+            rounded = level_values[pick]
+            tv_x, tv_r = tv_of(x1), tv_of(rounded)
             bound = bound_of(_dt(y1, tails, heads, n))
             tv = np.minimum(tv_x, tv_r)
             met = tv - bound <= cfg.gap_tol * np.maximum(tv, _GAP_FLOOR)
             done = met | (k == cfg.max_iterations)
-            # restart the others at T's output, or at its rounded primal
+            # restart the others by the gap of T's output
             gap = tv_x - bound
             restart = ~done & (
                 (gap <= _SUFFICIENT * restart_gap)
@@ -362,8 +363,7 @@ def _recover_batch(problems, cfg):
                 edge_reset = np.repeat(restart, edge_counts)
                 # the primal restarts at the better candidate: as for the
                 # output, the rounded one only on a strict decrease
-                rounded = np.repeat(tv_r < tv_x, counts)
-                best = np.where(rounded, level_values[pick], x1)
+                best = np.where(np.repeat(tv_r < tv_x, counts), rounded, x1)
                 x = np.where(node_reset, best, x)
                 y = np.where(edge_reset, y1, y)
                 x_r = np.where(node_reset, best, x_r)

@@ -119,6 +119,13 @@ def test_bridge_instance_exact_recovery():
     )
 
 
+def unit_values(values):
+    """The solver's unit for ``values``: (mid, half, values mapped onto [-1, 1])."""
+    lo, hi = values.min(), values.max()
+    mid, half = (lo + hi) / 2, (hi - lo) / 2 or 1.0
+    return mid, half, (values - mid) / half
+
+
 def better_candidate(g, v, values):
     """``v``, or its rounding to the observed values when that has strictly
     lower total variation."""
@@ -134,9 +141,7 @@ def test_matches_dense_reference_iteration():
     # reference runs on them too, and its output is mapped back
     for seed in range(6):
         g, m, values = random_instance(seed)
-        lo, hi = values.min(), values.max()
-        mid, half = (lo + hi) / 2, (hi - lo) / 2 or 1.0
-        unit = (values - mid) / half
+        mid, half, unit = unit_values(values)
         for k in (1, 2, 3, 10):
             res = slp_recover(g, m, values, SlpConfig(max_iterations=k))
             primals, duals = reference_slp(g, m.nodes, unit, k)
@@ -165,9 +170,7 @@ def test_matches_dense_reference_through_the_first_two_restarts():
     problems += [reference_trial(10, index) for index in range(4)]
     compared, rounded = 0, 0
     for g, m, values in problems:
-        lo, hi = values.min(), values.max()
-        mid, half = (lo + hi) / 2, (hi - lo) / 2 or 1.0
-        unit = (values - mid) / half
+        mid, half, unit = unit_values(values)
         for k in (11, 15, 20, 25):
             res = slp_recover(g, m, values, SlpConfig(max_iterations=k, gap_tol=0.0))
             if res.iterations_run < k:
