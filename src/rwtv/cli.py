@@ -30,8 +30,8 @@ from .experiments import (
 from .fileio import (
     _float_field,
     _int_field,
+    _read_edge_list,
     extract_subgraph,
-    parse_edge_list,
     read_observations,
     read_partition,
     read_sampling,
@@ -72,8 +72,9 @@ def _atomic_write(path, writer):
 
 
 def _load_graph(path, drop_isolated=False):
+    """The graph of an edge-list file and its external ids, ``ext[dense]``."""
     with open(path) as fh:
-        return parse_edge_list(fh, drop_isolated=drop_isolated)
+        return _read_edge_list(fh, drop_isolated)
 
 
 def _number(parse, text):
@@ -220,18 +221,14 @@ def _cmd_experiment(args):
 
 
 def _cmd_extract_subgraph(args):
-    g, id_map = _load_graph(args.graph, args.drop_isolated)
+    g, ext = _load_graph(args.graph, args.drop_isolated)
     sub, kept = extract_subgraph(g, args.walk_length, RngSeed(args.seed))
     _atomic_write(args.out, lambda fh: write_edge_list(sub, fh))
     if args.out_map:
-        # id_map is built in ascending external order, so its keys list the
-        # external id of each dense id
-        dense_to_ext = list(id_map)
-
         def write_map(fh):
             fh.write("new_id,source_id\n")
-            for new, old in enumerate(kept.tolist()):
-                fh.write(f"{new},{dense_to_ext[old]}\n")
+            for new, old in enumerate(ext[kept].tolist()):
+                fh.write(f"{new},{old}\n")
 
         _atomic_write(args.out_map, write_map)
     print(f"extracted subgraph: {sub.node_count} nodes, {sub.edge_count} edges")

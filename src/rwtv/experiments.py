@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -207,6 +206,15 @@ def aggregate_rows(rows, *, failures=0):
         per_cluster_mean_cut=tuple(math.fsum(c) / n for c in cuts),
         failures=failures,
     )
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on the first
+    call: its import pulls multiprocessing, socket and subprocess in, which
+    only a sweep over several workers needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def run_sweep(base, walks, workers=1):

@@ -14,9 +14,9 @@ to bit-identical values.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -62,30 +62,35 @@ def parse_edge_list(fh, drop_isolated=False):
     raises ``ValueError`` naming its line number.
 
     The file is read whole with one ``read``, its ids are parsed by one
-    ``np.loadtxt`` call and made dense by one sort: O(m log m) time for m
-    lines, and a peak memory of about ten times the text's size, a third
-    of it kept by the returned graph and map.
+    ``np.loadtxt`` call and made dense in place by one sort: O(m log m)
+    time for m lines, and a peak memory of about four times the text's
+    size, most of it kept by the returned graph and map.
     """
+    g, ext = _read_edge_list(fh, drop_isolated)
+    return g, dict(zip(ext.tolist(), range(ext.size)))
+
+
+def _read_edge_list(fh, drop_isolated):
+    """:func:`parse_edge_list` with the external ids as an ascending int64
+    array, ``ext[dense] = external``, instead of a dict."""
     # the text is freed once its pairs are parsed
     pairs = _read_pairs(_translate_line_ends(fh.read()))
     loop = pairs[:, 0] == pairs[:, 1]
-    if loop.any():
-        log.warning(
-            "dropped %d self-loop line(s); their nodes stay isolated",
-            np.count_nonzero(loop),
-        )
+    loops = np.count_nonzero(loop)
+    if loops:
+        log.warning("dropped %d self-loop line(s); their nodes stay isolated", loops)
     # dense ids in ascending external order; a self-loop line contributes
     # its node unless isolated nodes are dropped. np.compress takes rows
-    # several times faster than a boolean index of an (m, 2) array.
-    rows = np.compress(~loop, pairs, axis=0) if drop_isolated else pairs
-    ext, dense = _dense_ids(rows.ravel())
+    # several times faster than a boolean index of an (m, 2) array, and
+    # rebinding pairs frees the rows each compress was taken from
+    if loops and drop_isolated:
+        pairs = np.compress(~loop, pairs, axis=0)
+    ext = _densify(pairs)
     if ext.size == 0:
         raise ValueError("empty edge list: no usable nodes")
-    edges = dense.reshape(-1, 2)
-    if not drop_isolated:
-        edges = np.compress(~loop, edges, axis=0)
-    id_map = dict(zip(ext.tolist(), range(ext.size)))
-    return Graph(ext.size, edges), id_map
+    if loops and not drop_isolated:
+        pairs = np.compress(~loop, pairs, axis=0)
+    return Graph(ext.size, pairs), ext
 
 
 def _translate_line_ends(text):
@@ -97,6 +102,24 @@ def _translate_line_ends(text):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+# characters of text split into lines at a time by _line_lists
+_CHUNK = 1 << 16
+
+
+def _line_lists(text):
+    """The lines of ``text``, split on ``"\\n"`` only (``str.splitlines``
+    also splits on form feeds and other characters ``np.loadtxt`` reads as
+    blanks), in lists of about ``_CHUNK`` characters; a final empty line
+    is left out."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK)
+        if end < 0:
+            end = len(text)
+        yield text[start:end].split("\n")
+        start = end + 1
+
+
 def _read_pairs(text):
     """The ``(m, 2)`` int64 id pairs of an edge-list text, one row per line
     that is neither blank nor a comment."""
@@ -104,7 +127,10 @@ def _read_pairs(text):
         # loadtxt would warn on an input with no data
         return np.empty((0, 2), dtype=np.int64)
     try:
-        pairs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        # lines rather than an io.StringIO, which would copy the text at
+        # four bytes per character
+        lines = chain.from_iterable(_line_lists(text))
+        pairs = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
     except ValueError as exc:
         _raise_first_bad_line(text, exc)
     if pairs.shape[1] != 2 or pairs.min() < 0:
@@ -132,19 +158,27 @@ def _holds_data(text):
     return data or _NON_BLANK.search(text, end) is not None
 
 
-def _dense_ids(ids):
-    """Distinct values of ``ids`` ascending, and each entry's index among
-    them, from one unstable argsort (neither depends on how ties fall)."""
+def _densify(pairs):
+    """Overwrite each id of the C-contiguous int64 array ``pairs`` with its
+    index among the distinct ids, and return those ids ascending.
+
+    One unstable argsort, on whose tie order neither result depends; the
+    sorted copy's buffer then holds the ranks.
+    """
+    ids = pairs.reshape(-1)
     order = np.argsort(ids)
     ordered = ids[order]
     new = np.empty(ids.size, dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.cumsum(new)
-    rank -= 1
-    dense = np.empty_like(order)
-    dense[order] = rank
-    return ordered[new], dense
+    distinct = ordered[new]
+    # the ranks, in the sorted copy's buffer: new is cast into it before
+    # the cumsum, which would otherwise make a cast copy of its own
+    np.copyto(ordered, new)
+    np.cumsum(ordered, out=ordered)
+    ordered -= 1
+    ids[order] = ordered
+    return distinct
 
 
 def _raise_first_bad_line(text, cause):

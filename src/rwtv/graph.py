@@ -56,18 +56,32 @@ class Graph:
                 raise ValueError("self-loops are not allowed")
         # one int64 key per edge, tail * n + head: sorting the keys sorts
         # the edges by (tail, head), and n * n < 2**63 keeps them exact
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        keys = _unique_sorted(lo * node_count + hi)
+        keys = np.minimum(e[:, 0], e[:, 1])
+        keys *= node_count
+        keys += np.maximum(e[:, 0], e[:, 1])
+        keys.sort()
+        new = np.empty(keys.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        m = np.count_nonzero(new)
+        # both directions of every edge as source * n + neighbor keys, in
+        # one array: the m distinct edge keys, then the m reversed ones,
+        # sorted and then reduced to the neighbors in place
+        indices = np.empty(2 * m, dtype=np.int64)
+        keys = np.compress(new, keys, out=indices[:m])
         # each edge's endpoints are stored once: tails and heads are the
-        # contiguous rows of one read-only (2, m) array, edges its m x 2 view
-        ends = np.stack(np.divmod(keys, node_count))
+        # contiguous rows of one read-only (2, m) array, edges its m x 2
+        # view, filled by one divmod
+        ends = np.empty((2, m), dtype=np.int64)
+        np.divmod(keys, node_count, out=tuple(ends))
         ends.setflags(write=False)
         tails, heads = ends
-        # both directions of every edge, sorted by (source, neighbor)
-        both = np.sort(np.concatenate([keys, heads * node_count + tails]))
-        src, indices = np.divmod(both, node_count)
-        degrees = np.bincount(src, minlength=node_count)
+        np.multiply(heads, node_count, out=indices[m:])
+        indices[m:] += tails
+        indices.sort()
+        np.remainder(indices, node_count, out=indices)
+        degrees = np.bincount(tails, minlength=node_count)
+        degrees += np.bincount(heads, minlength=node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
 
@@ -145,18 +159,6 @@ def _step_row_of(nb, v):
 
 # largest node count whose edge keys tail * n + head fit in an int64
 _MAX_NODES = 3_037_000_499
-
-
-def _unique_sorted(a):
-    """Distinct values of an int array, ascending.
-
-    Sort plus an adjacent-duplicate mask, which is far faster than
-    ``np.unique`` on arrays of 1e5 and more entries.
-    """
-    a = np.sort(a)
-    if a.size > 1:
-        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
-    return a
 
 
 class Partition:

@@ -282,6 +282,7 @@ def _recover_batch(problems, cfg):
         first_level = np.repeat(level_starts, counts)
         last_level = np.repeat(level_starts + level_counts - 1, counts)
         n = x.size
+        shared = _shared_start(start)
 
         def tv_of(v):
             """Each live problem's total variation of the node signal ``v``."""
@@ -302,12 +303,14 @@ def _recover_batch(problems, cfg):
             y1 = _box(y + _d(ext * step_y, tails, heads))
             # the Halpern step: anchor + lam (2 T(x, y) - (x, y) - anchor),
             # whose primal half is anchor + lam (ext - anchor)
-            j = k - start
-            lam = (j + 1.0) / (j + 2.0)
-            if lam.size == 1:
-                # a lone problem, as in every CLI recover: one scalar
-                lam_x = lam_y = lam[0]
+            if shared is not None:
+                # every live problem last restarted at iteration shared, as
+                # a lone one does (every CLI recover) and all do up to the
+                # second check: one scalar lam
+                lam_x = lam_y = (k - shared + 1.0) / (k - shared + 2.0)
             else:
+                j = k - start
+                lam = (j + 1.0) / (j + 2.0)
                 lam_x, lam_y = np.repeat(lam, counts), np.repeat(lam, edge_counts)
             ext -= x_r
             ext *= lam_x
@@ -346,6 +349,7 @@ def _recover_batch(problems, cfg):
             if np.count_nonzero(restart):
                 restart_gap[restart] = gap[restart]
                 start[restart] = k
+                shared = _shared_start(start)
                 # from the third check on, re-balance the steps by the
                 # movement from the anchor, in the norms of the base steps
                 dx, dy = x1 - x_r, y1 - y_r
@@ -400,6 +404,13 @@ def _recover_batch(problems, cfg):
         live = [p for p, stop in zip(live, done) if not stop]
 
     return results
+
+
+def _shared_start(start):
+    """The iteration of the last restart when every live problem's is that
+    one, else ``None``."""
+    first = int(start[0])
+    return first if np.all(start == first) else None
 
 
 def nmse(x_hat, x_true):

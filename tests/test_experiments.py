@@ -1,6 +1,8 @@
 import io
 import math
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +247,19 @@ def test_run_sweep_pool_never_exceeds_runs(monkeypatch):
     assert run_sweep(one, [one.walk], workers=64)[0][2] == 0
     assert run_sweep(spec, [spec.walk], workers=2)[0][2] == 0
     assert sizes == [3, 2]
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # the pool's import pulls multiprocessing, socket and subprocess into
+    # every command; only a sweep over several workers imports it
+    code = (
+        "import sys, rwtv.cli; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["False"]
 
 
 def test_failed_trials_recorded_and_excluded(monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rwtv import Graph, Partition, RngSeed, SamplingSet
 from rwtv.fileio import (
+    _read_edge_list,
     extract_subgraph,
     parse_edge_list,
     read_observations,
@@ -193,6 +195,44 @@ def test_parse_matches_line_by_line_reference(text, drop_isolated):
     assert g.node_count == node_count
     assert g.edges.tolist() == edges
     assert list(got_map.items()) == list(id_map.items())
+
+
+@given(edge_list_texts(), st.booleans())
+def test_array_reader_matches_parse_edge_list(text, drop_isolated):
+    # the CLI's reader: the same graph, with the id map as an array
+    try:
+        g, _ = parse(text, drop_isolated=drop_isolated)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _read_edge_list(io.StringIO(text), drop_isolated)
+        assert str(info.value) == str(exc)
+        return
+    got, ext = _read_edge_list(io.StringIO(text), drop_isolated)
+    assert got == g
+    assert got.degrees.tolist() == g.degrees.tolist()
+    assert ext.dtype == np.int64
+    assert ext.tolist() == list(reference_parse(text, drop_isolated)[2])
+
+
+def test_parse_peak_memory_stays_a_small_multiple_of_the_text(tmp_path):
+    # 10**5 lines of seven- and eight-digit ids, self-loops and reversed
+    # duplicates among them; the ids are parsed and made dense in place
+    gen = np.random.default_rng(3)
+    ids = 1_000_003 + 37 * gen.integers(20_000, size=(10**5, 2))
+    ids[::200, 1] = ids[::200, 0]
+    ids[1::50] = ids[::50, ::-1][: ids[1::50].shape[0]]
+    text = "".join([f"{a} {b}\n" for a, b in ids.tolist()])
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            g, id_map = parse_edge_list(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == len(id_map) > 15_000
+    assert peak < 6 * len(text)
 
 
 def test_parse_drops_self_loops_with_warning(caplog):
