@@ -30,8 +30,8 @@ from .experiments import (
 from .fileio import (
     _float_field,
     _int_field,
-    _read_edge_list,
     extract_subgraph,
+    parse_edge_list,
     read_observations,
     read_partition,
     read_sampling,
@@ -74,7 +74,7 @@ def _atomic_write(path, writer):
 def _load_graph(path, drop_isolated=False):
     """The graph of an edge-list file and its external ids, ``ext[dense]``."""
     with open(path) as fh:
-        return _read_edge_list(fh, drop_isolated)
+        return parse_edge_list(fh, drop_isolated)
 
 
 def _number(parse, text):

@@ -15,13 +15,12 @@ are reproducible and independent of worker scheduling.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import _read_table
+from .fileio import _write_table
 from .graph import _check_count, cut_size
 from .rng import RngSeed
 from .sampling import SamplingBudgetError, WalkConfig, random_walk_sampling
@@ -46,7 +45,6 @@ __all__ = [
     "aggregate_rows",
     "run_sweep",
     "write_trials_csv",
-    "read_trials_csv",
     "write_summary_csv",
     "write_cluster_summary_csv",
 ]
@@ -251,59 +249,30 @@ def run_sweep(base, walks, workers=1):
     return [(spec, done, spec.runs - len(done)) for spec, done in zip(specs, rows)]
 
 
-def _trials_header(cluster_count):
-    return (
-        ["trial_index", "nmse"]
-        + [f"samples_c{c}" for c in range(cluster_count)]
-        + [f"cut_c{c}" for c in range(cluster_count)]
-    )
-
-
 def write_trials_csv(fh, rows):
     """Per-trial dump, with as many clusters as the rows' tuples hold (none
     for no rows); floats are written with shortest round-trip precision."""
-    writer = csv.writer(fh)
-    writer.writerow(_trials_header(_cluster_count(rows)))
-    for r in rows:
-        writer.writerow(
-            [r.index, float(r.nmse), *r.samples_per_cluster, *r.cut_per_cluster]
-        )
-
-
-def read_trials_csv(fh):
-    """Inverse of :func:`write_trials_csv`; round-trips values exactly.
-
-    The header must be the one written for as many clusters as it names
-    ``samples_c*`` columns, and rows are read like the other CSV tables.
-    """
-    first = fh.readline()
-    k = sum(h.strip().startswith("samples_c") for h in next(csv.reader([first])))
-    index, errors, *counts = _read_table(
-        [first, *fh] if first else [],
-        _trials_header(k),
-        (int, float) + (int,) * (2 * k),
-    )
-    counts = np.array(counts, dtype=np.int64).reshape(2 * k, index.size).T.tolist()
-    return [
-        TrialRow(i, e, tuple(c[:k]), tuple(c[k:]))
-        for i, e, c in zip(index.tolist(), errors.tolist(), counts)
-    ]
+    k = range(_cluster_count(rows))
+    header = ["trial_index", "nmse"]
+    header += [f"samples_c{c}" for c in k] + [f"cut_c{c}" for c in k]
+    _write_table(fh, header, [
+        [r.index, float(r.nmse), *r.samples_per_cluster, *r.cut_per_cluster]
+        for r in rows
+    ])
 
 
 def write_summary_csv(fh, param_name, param_values, summaries):
     """One row per swept parameter value. The std column is the population
     standard deviation, as the column name records."""
-    writer = csv.writer(fh)
-    writer.writerow([param_name, "mean_nmse", "std_nmse_population", "failures"])
-    for value, s in zip(param_values, summaries):
-        writer.writerow([value, float(s.mean_nmse), float(s.std_nmse), s.failures])
+    _write_table(fh, [param_name, "mean_nmse", "std_nmse_population", "failures"], [
+        [value, float(s.mean_nmse), float(s.std_nmse), s.failures]
+        for value, s in zip(param_values, summaries)
+    ])
 
 
 def write_cluster_summary_csv(fh, summary):
     """Per-cluster mean sample counts and mean cut sizes."""
-    writer = csv.writer(fh)
-    writer.writerow(["cluster", "mean_samples", "mean_cut"])
-    for c, (samples, cut) in enumerate(
-        zip(summary.per_cluster_mean_samples, summary.per_cluster_mean_cut)
-    ):
-        writer.writerow([c, float(samples), float(cut)])
+    means = zip(summary.per_cluster_mean_samples, summary.per_cluster_mean_cut)
+    _write_table(fh, ["cluster", "mean_samples", "mean_cut"], [
+        [c, float(samples), float(cut)] for c, (samples, cut) in enumerate(means)
+    ])

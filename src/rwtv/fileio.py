@@ -3,8 +3,9 @@
 Edge lists follow the common network-dataset convention: one whitespace
 separated node-id pair per line, ``#`` lines are comments, and an edge is
 present if either direction appears. External node ids are remapped to
-dense 0-based ids (ascending external order); the mapping is returned so
-results can be written back in the original id space.
+dense 0-based ids (ascending external order); the external ids are
+returned as an array, ``ext[dense]``, so results can be written back in
+the original id space.
 
 Signals, partitions, and sampling sets are small headered CSV files.
 Floats are written with shortest round-trip precision, so files re-read
@@ -52,27 +53,21 @@ _FLOAT = re.compile(
 
 def parse_edge_list(fh, drop_isolated=False):
     """Parse a whitespace edge list from the open text file ``fh`` into a
-    graph and an id mapping.
+    graph and its external node ids.
 
     Node ids are integers in ``[0, 2**63)``, written as ASCII digits with
     an optional sign. Self-loops are dropped (with a logged count); a node
     whose only incident lines were self-loops is kept as an isolated node
-    unless ``drop_isolated`` is set. Returns ``(graph, id_map)`` where
-    ``id_map`` maps external ids to dense internal ids. A malformed line
-    raises ``ValueError`` naming its line number.
+    unless ``drop_isolated`` is set. Returns ``(graph, ext)`` where ``ext``
+    is the ascending int64 array of external ids, ``ext[dense] =
+    external``. A malformed line raises ``ValueError`` naming its line
+    number.
 
     The file is read whole with one ``read``, its ids are parsed by one
     ``np.loadtxt`` call and made dense in place by one sort: O(m log m)
     time for m lines, and a peak memory of about four times the text's
-    size, most of it kept by the returned graph and map.
+    size, most of it kept by the returned graph.
     """
-    g, ext = _read_edge_list(fh, drop_isolated)
-    return g, dict(zip(ext.tolist(), range(ext.size)))
-
-
-def _read_edge_list(fh, drop_isolated):
-    """:func:`parse_edge_list` with the external ids as an ascending int64
-    array, ``ext[dense] = external``, instead of a dict."""
     # the text is freed once its pairs are parsed
     pairs = _read_pairs(_translate_line_ends(fh.read()))
     loop = pairs[:, 0] == pairs[:, 1]
@@ -260,13 +255,14 @@ def _read_table(fh, header, types):
         raise ValueError("integer outside the int64 range") from None
 
 
-def _write_table(fh, header, columns):
+def _write_table(fh, header, rows):
     """Write a headered CSV in one ``write``, the counterpart of
-    :func:`_read_table`: one row per entry of the equal-length ``columns``
-    (Python ints or floats, written by ``str``, so floats in shortest
-    round-trip form), each ended by ``\\r\\n`` as ``csv.writer`` ends it."""
-    rows = [",".join(header), *(",".join(map(str, r)) for r in zip(*columns))]
-    fh.write("\r\n".join(rows) + "\r\n")
+    :func:`_read_table`: one line per row of the iterable ``rows``, whose
+    ints and Python floats are written by ``str`` (so floats in shortest
+    round-trip form), each line ended by ``\\r\\n`` as ``csv.writer``
+    ends it."""
+    lines = [",".join(header), *(",".join(map(str, r)) for r in rows)]
+    fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _int_field(text):
@@ -345,7 +341,7 @@ def read_signal(fh, node_count):
 
 def write_signal(values, fh):
     values = np.asarray(values, dtype=float)
-    _write_table(fh, ["node_id", "value"], [range(values.size), values.tolist()])
+    _write_table(fh, ["node_id", "value"], enumerate(values.tolist()))
 
 
 def read_partition(fh, node_count):
@@ -358,8 +354,7 @@ def read_partition(fh, node_count):
 
 
 def write_partition(part, fh):
-    labels = part.labels.tolist()
-    _write_table(fh, ["node_id", "cluster_id"], [range(len(labels)), labels])
+    _write_table(fh, ["node_id", "cluster_id"], enumerate(part.labels.tolist()))
 
 
 def read_sampling(fh, node_count):
@@ -371,7 +366,7 @@ def read_sampling(fh, node_count):
 
 
 def write_sampling(m, fh):
-    _write_table(fh, ["node_id"], [m.nodes.tolist()])
+    _write_table(fh, ["node_id"], zip(m.nodes.tolist()))
 
 
 def extract_subgraph(g, walk_length, rng):

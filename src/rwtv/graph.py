@@ -20,7 +20,6 @@ __all__ = [
     "cut_size",
     "clustered_signal",
     "is_connected",
-    "is_bipartite",
 ]
 
 
@@ -180,10 +179,11 @@ class Partition:
             empty = np.flatnonzero(counts == 0)
             raise ValueError(f"empty cluster id(s): {empty.tolist()}")
         self.labels = labels.copy()
-        self.clusters = tuple(np.flatnonzero(labels == c) for c in range(k))
         self.labels.setflags(write=False)
-        for arr in self.clusters:
-            arr.setflags(write=False)
+        # each cluster's nodes ascending, as read-only views of one stable sort
+        order = np.argsort(labels, kind="stable")
+        order.setflags(write=False)
+        self.clusters = tuple(np.split(order, np.cumsum(counts[:-1])))
 
     @classmethod
     def from_sizes(cls, sizes):
@@ -333,18 +333,19 @@ def clustered_signal(part, coefficients):
     return coefficients[part.labels]
 
 
-def _component_labels(n, tails, heads):
-    """Connected-component label of each of ``n`` nodes: the smallest node id
-    in its component.
+def is_connected(g):
+    """True when every node is reachable from node 0.
 
-    Labels form a forest whose parents have smaller ids. Each round hooks
-    the larger root of every edge whose endpoints have different roots onto
-    the smaller, then pointer-jumps every node to its root, so the number of
-    rounds does not grow with the graph's diameter. An edge whose endpoints
-    share a root keeps sharing it, so each round drops those edges.
+    Each node's label converges to the smallest node id in its component;
+    the labels form a forest whose parents have smaller ids. Each round
+    hooks the larger root of every edge whose endpoints have different
+    roots onto the smaller, then pointer-jumps every node to its root, so
+    the number of rounds does not grow with the graph's diameter. An edge
+    whose endpoints share a root keeps sharing it, so each round drops
+    those edges.
     """
-    label = np.arange(n)
-    lt, lh = tails, heads
+    label = np.arange(g.node_count)
+    tails, heads = lt, lh = g.tails, g.heads
     while lt.size:
         np.minimum.at(label, np.maximum(lt, lh), np.minimum(lt, lh))
         up = label[label]
@@ -353,26 +354,4 @@ def _component_labels(n, tails, heads):
         lt, lh = label[tails], label[heads]
         cross = np.flatnonzero(lt != lh)
         tails, heads, lt, lh = tails[cross], heads[cross], lt[cross], lh[cross]
-    return label
-
-
-def is_connected(g):
-    """True when every node is reachable from node 0."""
-    return bool(np.all(_component_labels(g.node_count, g.tails, g.heads) == 0))
-
-
-def is_bipartite(g):
-    """True when the nodes admit a proper 2-coloring.
-
-    In the bipartite double cover, with nodes ``i`` and ``i + n`` and edges
-    ``(t, h + n)`` and ``(t + n, h)``, a node and its copy share a component
-    iff an odd cycle passes through the node's component.
-    """
-    n = g.node_count
-    label = _component_labels(
-        2 * n,
-        np.concatenate([g.tails, g.tails + n]),
-        np.concatenate([g.heads + n, g.heads]),
-    )
-    return bool(np.all(label[:n] != label[n:]))
-
+    return bool(np.all(label == 0))

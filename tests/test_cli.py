@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rwtv.cli
 from rwtv import Graph, Partition, SamplingSet, SlpConfig, slp_recover, total_variation
 from rwtv.cli import _atomic_write, main
 from rwtv.fileio import (
@@ -514,6 +515,29 @@ def run_fixture_pipeline(tmp_path, capsys, drop_isolated):
     for argv in commands:
         assert main(list(map(str, argv))) == 0
     return out, capsys.readouterr().out
+
+
+def test_every_graph_file_is_read_by_parse_edge_list(tmp_path, capsys, monkeypatch):
+    # the one public reader, which tracing and profiling wrap, reads each --graph
+    calls = []
+
+    def spy(fh, *args, **kwargs):
+        calls.append(fh.name)
+        return parse_edge_list(fh, *args, **kwargs)
+
+    monkeypatch.setattr(rwtv.cli, "parse_edge_list", spy)
+    out, _ = run_fixture_pipeline(tmp_path, capsys, False)
+    fixture = str(DATA / "copurchase_graph.txt")
+    with open(fixture) as fh:
+        g, _ = parse_edge_list(fh)
+    with open(tmp_path / "p.csv", "w", newline="") as fh:
+        write_partition(Partition(np.zeros(g.node_count, dtype=int)), fh)
+    check = [
+        "check", "--graph", fixture, "--partition", str(tmp_path / "p.csv"),
+        "--samples", str(out / "m.csv"),
+    ]
+    assert main(check) in (0, 1)
+    assert calls == [fixture] * 4
 
 
 @pytest.mark.parametrize("drop_isolated", [False, True])

@@ -2,6 +2,8 @@ import importlib
 import pkgutil
 
 import rwtv
+import rwtv.experiments
+import rwtv.fileio
 
 
 def test_every_exported_name_resolves():
@@ -44,7 +46,6 @@ def test_public_surface_is_pinned():
         "generate_appm",
         "incidence_apply",
         "incidence_transpose_apply",
-        "is_bipartite",
         "is_connected",
         "nmse",
         "random_clustered_signal",
@@ -53,4 +54,42 @@ def test_public_surface_is_pinned():
         "slp_recover",
         "total_variation",
         "uniform_sampling",
+    ]
+
+
+def test_file_and_experiment_surfaces_are_pinned():
+    # the modules the CLI imports from; adding or removing an export is an edit here
+    assert sorted(rwtv.fileio.__all__) == [
+        "extract_subgraph",
+        "parse_edge_list",
+        "read_observations",
+        "read_partition",
+        "read_sampling",
+        "read_signal",
+        "read_signal_rows",
+        "write_edge_list",
+        "write_partition",
+        "write_sampling",
+        "write_signal",
+    ]
+    assert sorted(rwtv.experiments.__all__) == [
+        "BENCHMARK_CLUSTER_SIZES",
+        "BENCHMARK_P_INTRA",
+        "BENCHMARK_Q_INTER",
+        "BENCHMARK_SLP",
+        "BENCHMARK_WALK_LENGTH",
+        "CLUSTER_STATS_BUDGET",
+        "TABLE1_BUDGETS",
+        "TABLE2_BUDGET",
+        "TABLE2_LENGTHS",
+        "TrialRow",
+        "TrialSpec",
+        "TrialSummary",
+        "aggregate_rows",
+        "benchmark_trial_spec",
+        "run_sweep",
+        "run_trial",
+        "write_cluster_summary_csv",
+        "write_summary_csv",
+        "write_trials_csv",
     ]

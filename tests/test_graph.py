@@ -14,11 +14,11 @@ from rwtv import (
     expected_degree,
     incidence_apply,
     incidence_transpose_apply,
-    is_bipartite,
     is_connected,
     random_walk,
     total_variation,
 )
+from reference_graph import reference_is_bipartite, reference_is_connected
 from strategies import graphs, graphs_with_signal, graphs_with_two_signals
 
 
@@ -158,85 +158,54 @@ def test_csr_read_only_and_neighbors_sorted(g):
         assert g.neighbors(i).tolist() == expected
 
 
-def reference_is_connected(g):
-    # depth-first search over neighbor lists built from g.edges
-    adj = {i: set() for i in range(g.node_count)}
-    for t, h in g.edges.tolist():
-        adj[t].add(h)
-        adj[h].add(t)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()] - seen:
-            seen.add(w)
-            stack.append(w)
-    return len(seen) == g.node_count
-
-
-def reference_is_bipartite(g):
-    color = {}
-    adj = {i: [] for i in range(g.node_count)}
-    for t, h in g.edges.tolist():
-        adj[t].append(h)
-        adj[h].append(t)
-    for start in range(g.node_count):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
-
-
 @given(graphs(max_nodes=9))
 def test_connectivity_and_bipartiteness_match_reference(g):
     assert is_connected(g) == reference_is_connected(g)
-    assert is_bipartite(g) == reference_is_bipartite(g)
+    # the bipartiteness reference against every 2-coloring of the nodes
+    n = g.node_count
+    colors = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    proper = np.all(colors[:, g.tails] != colors[:, g.heads], axis=1)
+    assert reference_is_bipartite(g) == proper.any()
 
 
 def test_connectivity_and_bipartiteness_hand_cases():
     path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert is_connected(path) and is_bipartite(path)
-    assert is_connected(triangle()) and not is_bipartite(triangle())
+    assert is_connected(path) and reference_is_bipartite(path)
+    assert is_connected(triangle()) and not reference_is_bipartite(triangle())
     # isolated node 2, odd cycle in a later component
     g = Graph(6, [(0, 1), (3, 4), (4, 5), (3, 5)])
-    assert not is_connected(g) and not is_bipartite(g)
-    assert is_connected(Graph(1, [])) and is_bipartite(Graph(1, []))
+    assert not is_connected(g) and not reference_is_bipartite(g)
+    assert is_connected(Graph(1, [])) and reference_is_bipartite(Graph(1, []))
 
 
 def test_connectivity_and_bipartiteness_known_by_construction():
     n = 20000
     perm = np.random.default_rng(7).permutation(n)
     path = Graph(n, np.column_stack([perm[:-1], perm[1:]]))
-    assert is_connected(path) and is_bipartite(path)
+    assert is_connected(path) and reference_is_bipartite(path)
     halves = Graph(n, np.delete(path.edges, n // 2, axis=0))
     assert not is_connected(halves)
     # closing the path into a cycle of odd length n + 1
     perm = np.append(perm, n)
     long_odd = Graph(n + 1, np.column_stack([perm, np.roll(perm, -1)]))
-    assert is_connected(long_odd) and not is_bipartite(long_odd)
+    assert is_connected(long_odd) and not reference_is_bipartite(long_odd)
 
     def cycle(k, first=0):
         return [(first + i, first + (i + 1) % k) for i in range(k)]
 
-    assert is_connected(Graph(9, cycle(9))) and not is_bipartite(Graph(9, cycle(9)))
-    assert is_connected(Graph(10, cycle(10))) and is_bipartite(Graph(10, cycle(10)))
+    odd, even = Graph(9, cycle(9)), Graph(10, cycle(10))
+    assert is_connected(odd) and not reference_is_bipartite(odd)
+    assert is_connected(even) and reference_is_bipartite(even)
     # two components: two even cycles, then an odd and an even one
     two_even = Graph(14, cycle(6) + cycle(8, first=6))
-    assert not is_connected(two_even) and is_bipartite(two_even)
+    assert not is_connected(two_even) and reference_is_bipartite(two_even)
     odd_even = Graph(11, cycle(4) + cycle(7, first=4))
-    assert not is_connected(odd_even) and not is_bipartite(odd_even)
+    assert not is_connected(odd_even) and not reference_is_bipartite(odd_even)
     # isolated nodes 0 and 5 around a path, then around a triangle
     assert not is_connected(Graph(6, [(1, 2), (2, 3), (3, 4)]))
-    assert is_bipartite(Graph(6, [(1, 2), (2, 3), (3, 4)]))
-    assert not is_bipartite(Graph(6, [(1, 2), (2, 3), (1, 3)]))
-    assert not is_connected(Graph(3, [])) and is_bipartite(Graph(3, []))
+    assert reference_is_bipartite(Graph(6, [(1, 2), (2, 3), (3, 4)]))
+    assert not reference_is_bipartite(Graph(6, [(1, 2), (2, 3), (1, 3)]))
+    assert not is_connected(Graph(3, [])) and reference_is_bipartite(Graph(3, []))
 
 
 @given(graphs())
@@ -376,6 +345,17 @@ def test_partition_from_sizes():
     part = Partition.from_sizes([2, 3])
     assert part.labels.tolist() == [0, 0, 1, 1, 1]
     assert [c.tolist() for c in part.clusters] == [[0, 1], [2, 3, 4]]
+
+
+def test_partition_clusters_of_many_random_labels():
+    labels = np.random.default_rng(11).permutation(np.arange(3000) % 1000)
+    part = Partition(labels)
+    assert part.cluster_count == 1000
+    for c, nodes in enumerate(part.clusters):
+        expected = np.flatnonzero(labels == c)
+        assert nodes.dtype == expected.dtype
+        assert nodes.tolist() == expected.tolist()
+        assert not nodes.flags.writeable
 
 
 def test_cut_size_single_cluster():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rwtv import Graph, Partition, RngSeed, SamplingSet
 from rwtv.fileio import (
-    _read_edge_list,
     extract_subgraph,
     parse_edge_list,
     read_observations,
@@ -34,10 +33,10 @@ def parse(text, **kwargs):
 # -------------------------------------------------------------------- parsing
 
 def test_parse_symmetrizes_and_dedups():
-    g, id_map = parse("0 1\n1 0\n")
+    g, ext = parse("0 1\n1 0\n")
     assert g.edge_count == 1
     assert g.edges.tolist() == [[0, 1]]
-    assert id_map == {0: 0, 1: 1}
+    assert ext.tolist() == [0, 1]
 
 
 def test_parse_ignores_comments_and_blank_lines():
@@ -46,8 +45,8 @@ def test_parse_ignores_comments_and_blank_lines():
 
 
 def test_parse_remaps_external_ids_densely():
-    g, id_map = parse("5 900\n900 7\n")
-    assert id_map == {5: 0, 7: 1, 900: 2}
+    g, ext = parse("5 900\n900 7\n")
+    assert ext.tolist() == [5, 7, 900]
     assert g.node_count == 3
     assert g.edges.tolist() == [[0, 2], [1, 2]]
 
@@ -78,17 +77,17 @@ def test_parse_errors_name_the_line():
 
 
 def test_parse_largest_id_and_signs():
-    g, id_map = parse(f"{2**63 - 1} +3\n-0 3\n")
-    assert id_map == {0: 0, 3: 1, 2**63 - 1: 2}
+    g, ext = parse(f"{2**63 - 1} +3\n-0 3\n")
+    assert ext.tolist() == [0, 3, 2**63 - 1]
     assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_parse_tabs_and_crlf():
     expected, _ = parse("# c\n5 7\n7 9\n")
     for text in ("# c\r\n5\t7\r\n7 9\r\n", "# c\n5\t7\n\t7\t9\t\n"):
-        g, id_map = parse(text)
+        g, ext = parse(text)
         assert g == expected
-        assert id_map == {5: 0, 7: 1, 9: 2}
+        assert ext.tolist() == [5, 7, 9]
 
 
 @pytest.mark.parametrize("text", ["0 1\n \r \n", "\r# c\n0 1\n", "0 1\r1 2\n"])
@@ -97,10 +96,10 @@ def test_parse_lone_cr_as_text_mode_reads_it(tmp_path, text):
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode())
     with open(path) as fh:
-        expected, expected_map = parse_edge_list(fh)
-    g, id_map = parse(text)
+        expected, expected_ext = parse_edge_list(fh)
+    g, ext = parse(text)
     assert g == expected
-    assert id_map == expected_map
+    assert ext.tolist() == expected_ext.tolist()
 
 
 def test_parse_empty_file_rejected():
@@ -123,8 +122,8 @@ def test_parse_comment_or_blank_only_file_is_empty_without_warnings(text):
 def test_parse_data_after_many_comment_lines():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, id_map = parse("# header\n" * 150 + "\n  # indented\n9 8\n8 7\n")
-    assert id_map == {7: 0, 8: 1, 9: 2}
+        g, ext = parse("# header\n" * 150 + "\n  # indented\n9 8\n8 7\n")
+    assert ext.tolist() == [7, 8, 9]
     assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
@@ -191,27 +190,12 @@ def test_parse_matches_line_by_line_reference(text, drop_isolated):
             parse(text, drop_isolated=drop_isolated)
         assert str(info.value) == str(exc)
         return
-    g, got_map = parse(text, drop_isolated=drop_isolated)
+    g, ext = parse(text, drop_isolated=drop_isolated)
     assert g.node_count == node_count
     assert g.edges.tolist() == edges
-    assert list(got_map.items()) == list(id_map.items())
-
-
-@given(edge_list_texts(), st.booleans())
-def test_array_reader_matches_parse_edge_list(text, drop_isolated):
-    # the CLI's reader: the same graph, with the id map as an array
-    try:
-        g, _ = parse(text, drop_isolated=drop_isolated)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            _read_edge_list(io.StringIO(text), drop_isolated)
-        assert str(info.value) == str(exc)
-        return
-    got, ext = _read_edge_list(io.StringIO(text), drop_isolated)
-    assert got == g
-    assert got.degrees.tolist() == g.degrees.tolist()
     assert ext.dtype == np.int64
-    assert ext.tolist() == list(reference_parse(text, drop_isolated)[2])
+    assert np.all(ext[1:] > ext[:-1])
+    assert ext.tolist() == list(id_map)
 
 
 def test_parse_peak_memory_stays_a_small_multiple_of_the_text(tmp_path):
@@ -227,26 +211,27 @@ def test_parse_peak_memory_stays_a_small_multiple_of_the_text(tmp_path):
     tracemalloc.start()
     try:
         with open(path) as fh:
-            g, id_map = parse_edge_list(fh)
+            g, ext = parse_edge_list(fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.node_count == len(id_map) > 15_000
+    assert g.node_count == ext.size > 15_000
     assert peak < 6 * len(text)
 
 
 def test_parse_drops_self_loops_with_warning(caplog):
     with caplog.at_level(logging.WARNING):
-        g, id_map = parse("0 1\n2 2\n")
+        g, ext = parse("0 1\n2 2\n")
     assert "self-loop" in caplog.text
     assert g.node_count == 3  # node 2 kept as isolated
-    assert g.degrees[id_map[2]] == 0
+    assert ext.tolist() == [0, 1, 2]
+    assert g.degrees[2] == 0
 
 
 def test_parse_drop_isolated_flag():
-    g, id_map = parse("0 1\n2 2\n", drop_isolated=True)
+    g, ext = parse("0 1\n2 2\n", drop_isolated=True)
     assert g.node_count == 2
-    assert 2 not in id_map
+    assert ext.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------- round trips
@@ -436,6 +421,8 @@ PARTITION = "node_id,cluster_id\n"
         ("signal_rows", SIGNAL + "0,0x1p3\n", "non-float field '0x1p3'"),
         ("signal_rows", SIGNAL + "0,1e\n", "non-float field '1e'"),
         ("signal_rows", SIGNAL + "0,\n", "non-float field ''"),
+        ("sampling", "", "empty file: missing header"),
+        ("partition", "cluster_id,node_id\n0,0\n", "expected header 'node_id,cluster_id'"),
     ],
 )
 def test_node_table_readers_reject_malformed_rows(reader, text, message):
