@@ -62,6 +62,10 @@ def _atomic_write(path, writer):
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             writer(fh)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

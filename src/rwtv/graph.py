@@ -7,8 +7,6 @@ vectors of length ``node_count``; edge signals are float vectors of length
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = [
@@ -32,7 +30,9 @@ class Graph:
     collapsed; self-loops are rejected. Isolated nodes are allowed.
 
     Adjacency is stored once, in CSR form: the neighbors of node ``i`` are
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending.
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending. A graph caches
+    nothing else; the walks build their step table from these arrays on
+    each call (see ``sampling``).
     """
 
     def __init__(self, node_count, edges):
@@ -98,32 +98,6 @@ class Graph:
     def edge_count(self):
         return self.tails.size
 
-    @functools.cached_property
-    def _neighbor_lists(self):
-        # the walks' step table, since a walk steps faster over Python lists
-        # than through numpy indexing. Row v is None until it is filled:
-        # random_walk fills it on its first visit (_step_row), as its one
-        # walk on a large graph visits few nodes; the sampler's many walks
-        # visit most nodes, so it fills every row at once (_step_table)
-        return [None] * self.node_count
-
-    def _step_row(self, v):
-        """Fill and return row ``v`` of the step table (see :func:`_step_row_of`)."""
-        nb = self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
-        row = self._neighbor_lists[v] = _step_row_of(nb, v)
-        return row
-
-    def _step_table(self):
-        """The step table with every row filled, from one ``tolist`` of the
-        CSR arrays; rows already set are kept."""
-        rows = self._neighbor_lists
-        if None in rows:
-            nb, ptr = self.indices.tolist(), self.indptr.tolist()
-            for v, row in enumerate(rows):
-                if row is None:
-                    rows[v] = _step_row_of(nb[ptr[v] : ptr[v + 1]], v)
-        return rows
-
     def neighbors(self, i):
         i = _check_node(self, i)
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
@@ -139,21 +113,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
-
-
-def _step_row_of(nb, v):
-    """Row ``v`` of a step table, from the list ``nb`` of its neighbors.
-
-    The row is ``[d, n_0, ..., n_{d-1}, n_{d-1}]``: the degree, as a
-    float, then the ascending neighbors, the last one twice. A step from
-    ``v`` with a uniform ``u`` in [0, 1) goes to ``row[int(u * row[0]) + 1]``.
-    ``u * d`` can round up to ``d`` at the last double below 1, which the
-    repeated neighbor absorbs. An isolated node's row is ``[1.0, v, v]``,
-    so its walks stay put. A float degree gives the same ``u * d`` as an
-    int one, and Python multiplies two floats faster.
-    """
-    nb = nb or [v]
-    return [float(len(nb)), *nb, nb[-1]]
 
 
 # largest node count whose edge keys tail * n + head fit in an int64

@@ -7,18 +7,19 @@ cut size get sampled more densely; :func:`check_nullspace_condition` tests
 the combinatorial condition under which exact recovery by total-variation
 minimization is guaranteed.
 
-Both walkers step over the graph's step table (see ``graph._step_row_of``):
-one step from ``v`` with a uniform ``u`` is ``r = rows[v]`` then
-``v = r[int(u * r[0]) + 1]``. The sampler fills every row before its first
-walk (``Graph._step_table``), from one ``tolist`` of the CSR arrays, since
-its many walks visit most nodes of a small graph. :func:`random_walk`
-fills a row on its first visit (``Graph._step_row``) instead: its one walk
-on a large graph, as in ``fileio.extract_subgraph``, visits few of the
-nodes, and the whole table of a 5e4-node graph took 16-22 ms to fill on a
-2-core x86 host. The sampler keeps only each walk's current node, not its
-path. Uniforms are drawn in blocks of at most ``_BLOCK``, so a walk's
-memory does not grow with its length; the blocks read the generator's
-stream exactly as one draw of ``length - 1`` would.
+Both walkers step over a step table of Python lists (see :func:`_step_row`),
+built per call from the graph's CSR arrays, since a walk steps faster over
+lists than through numpy indexing: one step from ``v`` with a uniform ``u``
+is ``r = rows[v]`` then ``v = r[int(u * r[0]) + 1]``. The sampler builds
+every row before its first walk (:func:`_step_table`), since its many
+walks visit most nodes of a small graph. :func:`random_walk` fills a row
+on its first visit instead: its one walk on a large graph, as in
+``fileio.extract_subgraph``, visits few of the nodes, and the whole table
+of a 5e4-node graph took 16-22 ms to fill on a 2-core x86 host. The
+sampler keeps only each walk's current node, not its path. Uniforms are
+drawn in blocks of at most ``_BLOCK``, so a walk's memory does not grow
+with its length; the blocks read the generator's stream exactly as one
+draw of ``length - 1`` would.
 """
 
 from __future__ import annotations
@@ -113,6 +114,27 @@ class NullspaceReport:
         return not self.violations
 
 
+def _step_row(nb, v):
+    """Row ``v`` of a step table, from the list ``nb`` of its neighbors.
+
+    The row is ``[d, n_0, ..., n_{d-1}, n_{d-1}]``: the degree, as a
+    float, then the ascending neighbors, the last one twice. A step from
+    ``v`` with a uniform ``u`` in [0, 1) goes to ``row[int(u * row[0]) + 1]``.
+    ``u * d`` can round up to ``d`` at the last double below 1, which the
+    repeated neighbor absorbs. An isolated node's row is ``[1.0, v, v]``,
+    so its walks stay put. A float degree gives the same ``u * d`` as an
+    int one, and Python multiplies two floats faster.
+    """
+    nb = nb or [v]
+    return [float(len(nb)), *nb, nb[-1]]
+
+
+def _step_table(g):
+    """Every row of ``g``'s step table, from one ``tolist`` of its CSR arrays."""
+    nb, ptr = g.indices.tolist(), g.indptr.tolist()
+    return [_step_row(nb[ptr[v] : ptr[v + 1]], v) for v in range(g.node_count)]
+
+
 def random_walk(g, seed_node, length, rng):
     """Simple random walk: uniform neighbor steps, staying put on degree-0 nodes.
 
@@ -124,7 +146,7 @@ def random_walk(g, seed_node, length, rng):
     gen = as_generator(rng)
     path = np.empty(length, dtype=np.int64)
     path[0] = v
-    rows, fill = g._neighbor_lists, g._step_row
+    rows, nb, ptr = [None] * g.node_count, g.indices, g.indptr
     done = 1
     while done < length:
         block = min(length - done, _BLOCK)
@@ -132,7 +154,7 @@ def random_walk(g, seed_node, length, rng):
         for u in gen.random(block).tolist():
             r = rows[v]
             if r is None:
-                r = fill(v)
+                r = rows[v] = _step_row(nb[ptr[v] : ptr[v + 1]].tolist(), v)
             v = r[int(u * r[0]) + 1]
             nodes.append(v)
         path[done : done + block] = nodes
@@ -153,7 +175,7 @@ def random_walk_sampling(g, cfg, rng):
             f"budget {cfg.budget} exceeds node count {g.node_count}"
         )
     gen = as_generator(rng)
-    rows = g._step_table()
+    rows = _step_table(g)
     steps = cfg.length - 1
     chosen = set()
     walks = 0

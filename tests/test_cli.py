@@ -1,5 +1,7 @@
 import filecmp
 import hashlib
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +61,26 @@ def test_generate_appm_writes_consistent_files(tmp_path, capsys):
     assert g.node_count == 12
     x = read_signal(open(sp), 12)
     assert np.all((x >= 0) & (x < 1))
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"]
+)
+def test_output_files_get_the_mode_open_would_give(tmp_path, umask, mode):
+    paths = [tmp_path / "g.txt", tmp_path / "p.csv", tmp_path / "x.csv"]
+    old = os.umask(umask)
+    try:
+        code = main(
+            [
+                "generate-appm", "--sizes", "6,6", "--p", "0.9", "--q", "0.2",
+                "--seed", "5", "--out-graph", str(paths[0]),
+                "--out-partition", str(paths[1]), "--out-signal", str(paths[2]),
+            ]
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode] * 3
 
 
 def test_generate_appm_require_connected_impossible_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from rwtv import (
     random_walk_sampling,
     uniform_sampling,
 )
+from rwtv.fileio import extract_subgraph, parse_edge_list
+from rwtv.sampling import _step_row, _step_table
 from strategies import graphs, partitions
+
+DATA = Path(__file__).parent / "data"
 
 BENCH = AppmSpec((10, 20, 30, 40), 0.3, 0.05)
 
@@ -131,18 +136,43 @@ def test_walks_longer_than_two_blocks_match_reference_walk():
         assert gen.random() == ref.random()
 
 
-def test_step_table_fills_the_rows_a_walk_would_and_keeps_set_rows():
+def test_step_table_fills_the_rows_a_walk_would():
     edges = [(1, 2), (2, 3), (3, 4), (4, 1), (4, 7)]  # 0, 5, 6, 8 isolated
-    g, lazy = Graph(9, edges), Graph(9, edges)
-    assert g._step_table() == [lazy._step_row(v) for v in range(9)]
-    assert g._step_table() is g._neighbor_lists
+    g = Graph(9, edges)
+    table = _step_table(g)
+    assert table == [_step_row(g.neighbors(v).tolist(), v) for v in range(9)]
+    assert table[4] == [3.0, 1, 3, 7, 7]
+    assert [table[v] for v in (0, 5, 6, 8)] == [[1.0, v, v] for v in (0, 5, 6, 8)]
 
-    preset = Graph(9, edges)
-    kept = preset._neighbor_lists[4] = [1.0, 0, 0]
-    table = preset._step_table()
-    assert table[4] is kept
-    others = [v for v in range(9) if v != 4]
-    assert [table[v] for v in others] == [lazy._step_row(v) for v in others]
+
+def test_walks_leave_the_graph_unchanged():
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)])  # nodes 3 and 6 isolated
+    before = dict(vars(g))
+    random_walk(g, 0, 50, RngSeed(0))
+    random_walk_sampling(g, WalkConfig(10, 4), RngSeed(1))
+    after = vars(g)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
+def test_one_walk_never_builds_the_whole_step_table(monkeypatch):
+    # random_walk fills only the rows it visits, which keeps one walk on a
+    # large graph (extract-subgraph) from paying for the whole table
+    with open(DATA / "copurchase_graph.txt") as fh:
+        g, _ = parse_edge_list(fh)
+    path = random_walk(g, 0, 400, RngSeed(5))
+    sub, kept = extract_subgraph(g, 400, RngSeed(6))
+
+    def whole_table(g):
+        raise AssertionError("the whole step table was built")
+
+    monkeypatch.setattr(rwtv.sampling, "_step_table", whole_table)
+    assert random_walk(g, 0, 400, RngSeed(5)).tolist() == path.tolist()
+    sub_again, kept_again = extract_subgraph(g, 400, RngSeed(6))
+    assert sub_again == sub
+    assert np.array_equal(kept_again, kept)
+    with pytest.raises(AssertionError, match="whole step table"):
+        random_walk_sampling(g, WalkConfig(3, 1), RngSeed(0))
 
 
 # ----------------------------------------------------------- walk sampling
@@ -218,11 +248,13 @@ def test_walk_sampling_deterministic():
     assert np.array_equal(m1.nodes, m2.nodes)
 
 
-def test_unreachable_budget_raises():
+def test_unreachable_budget_raises(monkeypatch):
     # force every walk to the same endpoint so a budget of 2 can never fill:
-    # a step table whose every row (see Graph._step_row) leads to node 0
+    # a step table whose every row (see rwtv.sampling._step_row) leads to node 0
+    monkeypatch.setattr(
+        rwtv.sampling, "_step_table", lambda g: [[1.0, 0, 0]] * g.node_count
+    )
     g = complete_graph(4)
-    g._neighbor_lists[:] = [[1.0, 0, 0]] * g.node_count
     with pytest.raises(SamplingBudgetError, match="unreachable"):
         random_walk_sampling(g, WalkConfig(3, 2), RngSeed(0))
 
