@@ -187,22 +187,235 @@ def reference_sampler(g, cfg, gen):
     return sorted(chosen)
 
 
+# nodes 20, 21 and 24-29 are isolated
+SPARSE = Graph(30, [(i, i + 1) for i in range(19)] + [(0, 10), (5, 15), (22, 23)])
+
+
+def sampler_paths(monkeypatch):
+    """The names of the sampler's paths, appended as each call takes one."""
+    taken = []
+    for name in ("_loop_sampling", "_lockstep_sampling"):
+        real = getattr(rwtv.sampling, name)
+
+        def spy(*args, real=real, name=name):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(rwtv.sampling, name, spy)
+    return taken
+
+
+def assert_sampler_matches_reference(g, cfg, make_gen, prior_draws=0):
+    # the sampler's set, and the generator it leaves, against the reference
+    # sampler's; an odd number of prior integers draws enters with a held
+    # 32-bit half
+    ref, gen = make_gen(), make_gen()
+    for _ in range(prior_draws):
+        assert ref.integers(1000) == gen.integers(1000)
+    expected = reference_sampler(g, cfg, ref)
+    assert random_walk_sampling(g, cfg, gen).nodes.tolist() == expected
+    if type(ref.bit_generator) is np.random.PCG64:
+        assert gen.bit_generator.state == ref.bit_generator.state
+    assert gen.integers(1000) == ref.integers(1000)
+    assert gen.random() == ref.random()
+    assert gen.integers(1000) == ref.integers(1000)
+
+
 def test_walk_sampling_matches_reference_sampler():
+    # budgets on both sides of the lockstep walker's crossover, entered
+    # with and without a held 32-bit half
+    crossover = rwtv.sampling._LOCKSTEP_BUDGET
     graphs_ = [
         Graph(1, []),
         Graph(7, [(0, 1), (1, 2), (2, 0), (4, 5)]),  # nodes 3 and 6 isolated
         Graph(9, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 7)]),  # 0, 5, 6, 8 isolated
+        SPARSE,
         generate_appm(BENCH, RngSeed(4).generator())[0],
     ]
     for g in graphs_:
-        for seed in range(4):
-            for length in (1, 2, 17, 200):
-                cfg = WalkConfig(length, 1 + seed * (g.node_count - 1) // 3)
-                ref = RngSeed(seed).generator()
-                expected = reference_sampler(g, cfg, ref)
-                gen = RngSeed(seed).generator()
-                assert random_walk_sampling(g, cfg, gen).nodes.tolist() == expected
-                assert gen.random() == ref.random()
+        n = g.node_count
+        budgets = {1, crossover - 1, crossover, (crossover + n) // 2, min(n, 40)}
+        for budget in sorted(b for b in budgets if b <= n):
+            for seed in range(3):
+                for length in (1, 2, 17, 200):
+                    for prior_draws in (0, 1, 3):
+                        assert_sampler_matches_reference(
+                            g,
+                            WalkConfig(length, budget),
+                            RngSeed(seed, 10 * budget + prior_draws).generator,
+                            prior_draws,
+                        )
+
+
+def test_walk_sampling_takes_the_lockstep_path_where_it_pays(monkeypatch):
+    # the lockstep walker needs numpy's PCG64, 2 <= n < 2**32, a budget at
+    # or above the crossover, and a batch of `budget` walks inside the word
+    # cap (see the test below); every other call runs the loop
+    taken = sampler_paths(monkeypatch)
+    crossover = rwtv.sampling._LOCKSTEP_BUDGET
+    g = generate_appm(BENCH, RngSeed(4).generator())[0]
+
+    def sfc64():
+        return np.random.Generator(np.random.SFC64(0))
+
+    cases = [
+        (g, 10, crossover - 1, RngSeed(0).generator, "_loop_sampling"),
+        # table2's budget, where the loop is faster at every walk length
+        (g, 20, 10, RngSeed(0).generator, "_loop_sampling"),
+        (g, 320, 10, RngSeed(0).generator, "_loop_sampling"),
+        (g, 10, crossover, RngSeed(0).generator, "_lockstep_sampling"),
+        (g, 10, 100, RngSeed(0).generator, "_lockstep_sampling"),
+        (Graph(1, []), 10, 1, RngSeed(0).generator, "_loop_sampling"),
+        (g, 10, crossover, sfc64, "_loop_sampling"),
+    ]
+    for graph, length, budget, make_gen, path in cases:
+        random_walk_sampling(graph, WalkConfig(length, budget), make_gen())
+        assert taken.pop() == path, (length, budget)
+
+
+def test_walks_over_the_word_cap_match_reference_sampler(monkeypatch):
+    # a batch of `budget` walks must fit in rwtv.sampling._WORDS raw words;
+    # a length one over that runs the loop, and both give the reference sets
+    taken = sampler_paths(monkeypatch)
+    crossover = rwtv.sampling._LOCKSTEP_BUDGET
+    longest = rwtv.sampling._WORDS // crossover
+    for length in (longest, longest + 1):
+        for prior_draws in (0, 1):
+            assert_sampler_matches_reference(
+                SPARSE, WalkConfig(length, crossover), RngSeed(5).generator, prior_draws
+            )
+    assert taken == ["_lockstep_sampling"] * 2 + ["_loop_sampling"] * 2
+
+
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
+)
+def test_other_bit_generators_walk_the_loop_and_match_reference(
+    monkeypatch, bit_generator
+):
+    taken = sampler_paths(monkeypatch)
+    crossover = rwtv.sampling._LOCKSTEP_BUDGET
+    g = generate_appm(BENCH, RngSeed(4).generator())[0]
+    for seed in range(2):
+        for length, budget in ((2, crossover), (17, 40), (80, crossover)):
+            assert_sampler_matches_reference(
+                g,
+                WalkConfig(length, budget),
+                lambda: np.random.Generator(bit_generator(seed)),
+                prior_draws=seed,
+            )
+    assert set(taken) == {"_loop_sampling"}
+
+
+def numpy_seeds(words, n, k, steps, held, half):
+    # Generator.integers(n) on PCG64, one walk at a time: a fresh word's
+    # low half then its high half, Lemire's method, and a walk's uniforms
+    # after its seed
+    at, buffer, seeds = 0, half if held else None, []
+    for _ in range(k):
+        if buffer is None:
+            word = int(words[at])
+            at += 1
+            h, buffer = word & 0xFFFFFFFF, word >> 32
+        else:
+            h, buffer = buffer, None
+        if (h * n) & 0xFFFFFFFF < 2**32 % n:
+            break
+        seeds.append(h * n >> 32)
+        at += steps
+    return seeds
+
+
+def test_seed_decoder_reads_numpys_halves():
+    words = np.random.default_rng(8).integers(0, 2**64, 400, np.uint64, endpoint=False)
+    for n in (2, 100, 3 * 2**30, 2**32 - 1):
+        for k in (1, 4, 5):
+            for steps in (0, 1, 3):
+                for held, half in ((0, 0), (1, 7), (1, 2**32 - 1)):
+                    seeds, halves = rwtv.sampling._walk_seeds(
+                        words, n, k, steps, held, half
+                    )
+                    assert seeds.tolist() == numpy_seeds(words, n, k, steps, held, half)
+                    assert halves.size >= k
+
+
+def test_seed_decoder_stops_at_a_rejected_half():
+    # with n = 100, Lemire's method rejects a half h while (h * 100) mod
+    # 2**32 < 2**32 % 100 = 96; the half 0 gives 0
+    decode = rwtv.sampling._walk_seeds
+    steps = 3
+    words = np.full(40, 2**32 + 1, np.uint64)  # halves 1, 1: seed 0
+    words[7] = 0  # walk 2's fresh seed word, its low half rejected
+    assert decode(words, 100, 5, steps, 0, 0)[0].tolist() == [0, 0]
+    words[7] = 1  # now walk 3's held half, the high one, is rejected
+    assert decode(words, 100, 5, steps, 0, 0)[0].tolist() == [0, 0, 0]
+    assert decode(words, 100, 4, steps, 0, 0)[0].tolist() == [0, 0, 0]
+    assert decode(words, 100, 3, steps, 0, 0)[0].tolist() == [0, 0, 0]
+    # a held half of 0 rejects the first walk
+    assert decode(words, 100, 5, steps, 1, 0)[0].tolist() == []
+    assert decode(words, 100, 5, steps, 1, 1)[0].tolist() == [0] * 5
+
+
+class CountingGenerator(np.random.Generator):
+    """A numpy Generator that counts its ``integers`` and ``random`` calls."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append("integers")
+        return super().integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls.append("random")
+        return super().random(*args, **kwargs)
+
+
+def test_a_rejected_seed_draw_walks_through_the_generator(monkeypatch):
+    # numpy redraws a rejected half; the sampler then runs that walk
+    # through the generator and resumes. A decoder patched to reject walk
+    # r of the first batch must leave the set and the stream unchanged,
+    # and walk r must draw from the generator itself, unless the walks
+    # before it already met the budget.
+    real = rwtv.sampling._walk_seeds
+    g = generate_appm(BENCH, RngSeed(4).generator())[0]
+    batches = []
+    for length in (1, 10):
+        cfg = WalkConfig(length, 30)
+        for prior_draws in (0, 1):
+            ref = RngSeed(prior_draws).generator()
+            for _ in range(prior_draws):
+                ref.integers(1000)
+            chosen, met = set(), 0
+            while len(chosen) < cfg.budget:
+                start = int(ref.integers(g.node_count))
+                chosen.add(reference_walk(g, start, length, ref)[-1])
+                met += 1
+            for r in (0, 1, 7, met - 1, met):
+
+                def reject_walk_r(words, n, k, steps, held, half):
+                    seeds, halves = real(words, n, k, steps, held, half)
+                    batches.append(k)
+                    return (seeds[:r] if len(batches) == 1 else seeds), halves
+
+                monkeypatch.setattr(rwtv.sampling, "_walk_seeds", reject_walk_r)
+                batches.clear()
+                assert_sampler_matches_reference(
+                    g, cfg, RngSeed(prior_draws).generator, prior_draws
+                )
+                assert batches[0] > met
+                # walk met - 1 is the last walk the budget needs
+                assert len(batches) == (1 if r >= met - 1 else 2)
+
+                gen = CountingGenerator(RngSeed(prior_draws).generator().bit_generator)
+                for _ in range(prior_draws):
+                    gen.integers(1000)
+                gen.calls.clear()
+                batches.clear()
+                random_walk_sampling(g, cfg, gen)
+                assert gen.calls == ([] if r == met else ["integers", "random"])
 
 
 # SHA-256 over the sampling sets of 4 reference draws at each Table 2 walk
@@ -257,6 +470,41 @@ def test_unreachable_budget_raises(monkeypatch):
     g = complete_graph(4)
     with pytest.raises(SamplingBudgetError, match="unreachable"):
         random_walk_sampling(g, WalkConfig(3, 2), RngSeed(0))
+
+
+def test_unreachable_budget_raises_on_the_lockstep_path(monkeypatch):
+    # a lockstep table (see rwtv.sampling._padded_table) whose every entry
+    # leads to node 0: the lockstep path must stop where the loop does, after
+    # 100 * budget walks, with the same message
+    def to_node_0(g):
+        n = g.node_count
+        return np.zeros(n + 2, np.int64), np.full(n + 2, n, np.intp), np.ones(n + 2)
+
+    monkeypatch.setattr(rwtv.sampling, "_padded_table", to_node_0)
+    monkeypatch.setattr(
+        rwtv.sampling, "_step_table", lambda g: [[1.0, 0, 0]] * g.node_count
+    )
+    taken = sampler_paths(monkeypatch)
+    budget = rwtv.sampling._LOCKSTEP_BUDGET
+    g = complete_graph(budget + 4)
+    message = (
+        f"sampling budget unreachable: 1/{budget} distinct endpoints "
+        f"after {100 * budget} walks"
+    )
+    def mt19937():
+        return np.random.Generator(np.random.MT19937(0))
+
+    for make_gen in (RngSeed(0).generator, mt19937):
+        gen = make_gen()
+        with pytest.raises(SamplingBudgetError) as err:
+            random_walk_sampling(g, WalkConfig(3, budget), gen)
+        assert str(err.value) == message
+        ref = make_gen()
+        for _ in range(100 * budget):
+            ref.integers(g.node_count)
+            ref.random(2)
+        assert gen.random() == ref.random()
+    assert taken == ["_lockstep_sampling", "_loop_sampling"]
 
 
 def test_per_cluster_counts_track_cut_sizes():
