@@ -12,9 +12,10 @@ import argparse
 import logging
 import os
 import sys
-import tempfile
 from functools import cache, partial
 from pathlib import Path
+
+import numpy as np
 
 from .experiments import (
     TABLE1_BUDGETS,
@@ -40,7 +41,7 @@ from .fileio import (
     write_sampling,
     write_signal,
 )
-from .graph import _check_count, is_connected
+from .graph import _check_count, _component_labels, is_connected
 from .rng import RngSeed
 from .sampling import (
     WalkConfig,
@@ -54,18 +55,27 @@ from .synth import AppmSpec, generate_appm, random_clustered_signal
 log = logging.getLogger(__name__)
 
 
+# a fresh file, never one met through a symlink, closed in exec'd children
+_TMP_FLAGS = (
+    os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0)
+)
+
+
 def _atomic_write(path, writer):
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
-    )
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            # the kernel applies the umask, so the file gets the mode open()
+            # would give it
+            fd = os.open(tmp, _TMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             writer(fh)
-        # mkstemp makes the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -161,6 +171,7 @@ def _cmd_recover(args):
     with open(args.signal) as fh:
         observed, truth = read_observations(fh, m, g.node_count)
 
+    _warn_unsampled_components(g, m)
     cfg = SlpConfig(max_iterations=args.max_iter, gap_tol=args.tol)
     result = slp_recover(g, m, observed, cfg)
     _atomic_write(args.out, lambda fh: write_signal(result.recovered, fh))
@@ -177,6 +188,22 @@ def _cmd_recover(args):
     if truth is not None:
         print(f"NMSE {nmse(result.recovered, truth):.17g}")
     return 0
+
+
+def _warn_unsampled_components(g, m):
+    """Log one warning when a connected component holds no sampled node."""
+    label = _component_labels(g)
+    sampled = np.zeros(g.node_count, dtype=bool)
+    sampled[label[m.nodes]] = True
+    unsampled = ~sampled[label]
+    if unsampled.any():
+        roots = label == np.arange(g.node_count)
+        log.warning(
+            "%d node(s) in %d connected component(s) hold no sampled node; "
+            "no sample determines their recovered values",
+            np.count_nonzero(unsampled),
+            np.count_nonzero(roots & unsampled),
+        )
 
 
 def _cmd_experiment(args):

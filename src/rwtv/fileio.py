@@ -7,6 +7,13 @@ dense 0-based ids (ascending external order); the external ids are
 returned as an array, ``ext[dense]``, so results can be written back in
 the original id space.
 
+An edge list is read by one of two tokenizers. A plain text, ASCII whose
+lines after any leading ``#`` lines are each two ids of 1 to 18 digits
+joined by one space or tab, is read by one ``np.fromstring``; any other
+text (signs, longer ids, extra blanks, blank lines, later comments, CR
+line ends left in the text, non-ASCII characters) by ``np.loadtxt``,
+whose failures name the first bad line. Both read the same ids.
+
 Signals, partitions, and sampling sets are small headered CSV files.
 Floats are written with shortest round-trip precision, so files re-read
 to bit-identical values.
@@ -63,10 +70,12 @@ def parse_edge_list(fh, drop_isolated=False):
     external``. A malformed line raises ``ValueError`` naming its line
     number.
 
-    The file is read whole with one ``read``, its ids are parsed by one
-    ``np.loadtxt`` call and made dense in place by one sort: O(m log m)
-    time for m lines, and a peak memory of about four times the text's
-    size, most of it kept by the returned graph.
+    The file is read whole with one ``read``. Its ids are parsed by one
+    ``np.fromstring`` call when every line after any leading ``#`` lines
+    is plain (two ids of 1 to 18 ASCII digits joined by one space or tab),
+    and by one ``np.loadtxt`` call otherwise. They are made dense in place
+    by one sort: O(m log m) time for m lines, and a peak memory of about
+    four times the text's size, most of it kept by the returned graph.
     """
     # the text is freed once its pairs are parsed
     pairs = _read_pairs(_translate_line_ends(fh.read()))
@@ -117,7 +126,15 @@ def _line_lists(text):
 
 def _read_pairs(text):
     """The ``(m, 2)`` int64 id pairs of an edge-list text, one row per line
-    that is neither blank nor a comment."""
+    that is neither blank nor a comment.
+
+    A plain text (see :func:`_read_plain_pairs`) is read by one
+    ``np.fromstring``; any other text by ``np.loadtxt``, whose failures
+    name the first bad line.
+    """
+    pairs = _read_plain_pairs(text)
+    if pairs is not None:
+        return pairs
     if not _holds_data(text):
         # loadtxt would warn on an input with no data
         return np.empty((0, 2), dtype=np.int64)
@@ -131,6 +148,68 @@ def _read_pairs(text):
     if pairs.shape[1] != 2 or pairs.min() < 0:
         _raise_first_bad_line(text, None)
     return pairs
+
+
+# longest id of a plain line: 18 digits are below 10**18 < 2**63
+_PLAIN_DIGITS = 18
+
+
+def _read_plain_pairs(text):
+    """The id pairs of a plain text, or None for any other text.
+
+    A text is plain when it is ASCII and, after any leading lines that
+    start with ``#``, every line is 1 to 18 digits, one space or tab, and
+    1 to 18 digits, the last line with or without its line end. No line of
+    a plain text is blank or malformed, and every id is in ``[0, 2**63)``,
+    so ``np.fromstring`` reads it as ``np.loadtxt`` would.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    if not text.isascii():
+        return None
+    lines = _plain_lines(text.encode("ascii"), start)
+    if not lines:
+        return None
+    pairs = np.fromstring(text[start:], dtype=np.int64, sep=" ", count=2 * lines)
+    return pairs.reshape(lines, 2)
+
+
+def _plain_lines(raw, start):
+    """The number of lines of the bytes ``raw[start:]`` if each is a plain
+    edge-list line, else 0.
+
+    Checked about ``_CHUNK`` bytes at a time: each chunk ends at a line
+    end, and its blanks and line ends are found from one boolean scan.
+    """
+    codes = np.frombuffer(raw, np.uint8)
+    if start == len(raw) or codes[start:].max() > ord("9"):
+        return 0
+    lines = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + _CHUNK) + 1 or len(raw)
+        chunk = codes[start:end]
+        # every byte below "0" separates ids: it must be a blank or a line
+        # end, one of each per line, and the ids between them 1 to 18 long
+        seps = np.flatnonzero(chunk < ord("0"))
+        if not seps.size:
+            return 0
+        blanks, ends = chunk[seps[0::2]], chunk[seps[1::2]]
+        gaps = np.diff(seps)
+        tail = chunk.size - 1 - seps[-1]
+        if not (
+            np.all((blanks == ord(" ")) | (blanks == ord("\t")))
+            and np.all(ends == ord("\n"))
+            and 1 <= seps[0] <= _PLAIN_DIGITS
+            and (not gaps.size or gaps.min() > 1 and gaps.max() <= _PLAIN_DIGITS + 1)
+            and (0 < tail <= _PLAIN_DIGITS if seps.size % 2 else tail == 0)
+        ):
+            return 0
+        lines += (seps.size + 1) // 2
+        start = end
+    return lines
 
 
 _NON_BLANK = re.compile(r"\S")
@@ -157,16 +236,33 @@ def _densify(pairs):
     """Overwrite each id of the C-contiguous int64 array ``pairs`` with its
     index among the distinct ids, and return those ids ascending.
 
-    One unstable argsort, on whose tie order neither result depends; the
-    sorted copy's buffer then holds the ranks.
+    One plain sort of ``(id - min) << b | position``, b the bit length of
+    the id count: its high bits are the ids in order, its low bits the
+    order. Only ids too far apart to pack in 63 bits take an unstable
+    argsort, on whose tie order neither result depends. The sorted
+    copy's buffer then holds the ranks.
     """
     ids = pairs.reshape(-1)
-    order = np.argsort(ids)
-    ordered = ids[order]
+    if not ids.size:
+        return ids.copy()
+    lo = int(ids.min())
+    bits = ids.size.bit_length()
+    if (int(ids.max()) - lo).bit_length() + bits <= 63:
+        ordered = ids - lo
+        ordered <<= bits
+        ordered |= np.arange(ids.size)
+        ordered.sort()
+        order = ordered & ((1 << bits) - 1)
+        ordered >>= bits
+    else:
+        order = np.argsort(ids)
+        ordered = ids[order]
+        ordered -= lo
     new = np.empty(ids.size, dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     distinct = ordered[new]
+    distinct += lo
     # the ranks, in the sorted copy's buffer: new is cast into it before
     # the cumsum, which would otherwise make a cast copy of its own
     np.copyto(ordered, new)

@@ -53,32 +53,36 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        # one int64 key per edge, tail * n + head: sorting the keys sorts
-        # the edges by (tail, head), and n * n < 2**63 keeps them exact
-        keys = np.minimum(e[:, 0], e[:, 1])
-        keys *= node_count
-        keys += np.maximum(e[:, 0], e[:, 1])
+        # one uint64 key per edge, tail << s | head: sorting the keys sorts
+        # the edges by (tail, head), split back by a shift and a mask
+        s = max(1, (node_count - 1).bit_length())
+        keys = np.minimum(e[:, 0], e[:, 1]).view(np.uint64)
+        keys <<= s
+        keys |= np.maximum(e[:, 0], e[:, 1]).view(np.uint64)
         keys.sort()
         new = np.empty(keys.size, dtype=bool)
         new[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         m = np.count_nonzero(new)
-        # both directions of every edge as source * n + neighbor keys, in
+        # both directions of every edge as source << s | neighbor keys, in
         # one array: the m distinct edge keys, then the m reversed ones,
         # sorted and then reduced to the neighbors in place
-        indices = np.empty(2 * m, dtype=np.int64)
+        indices = np.empty(2 * m, dtype=np.uint64)
         keys = np.compress(new, keys, out=indices[:m])
         # each edge's endpoints are stored once: tails and heads are the
         # contiguous rows of one read-only (2, m) array, edges its m x 2
-        # view, filled by one divmod
-        ends = np.empty((2, m), dtype=np.int64)
-        np.divmod(keys, node_count, out=tuple(ends))
+        # view; ids below 2**32 read the same as int64
+        ends = np.empty((2, m), dtype=np.uint64)
+        np.right_shift(keys, s, out=ends[0])
+        np.bitwise_and(keys, (1 << s) - 1, out=ends[1])
+        np.left_shift(ends[1], s, out=indices[m:])
+        indices[m:] |= ends[0]
+        indices.sort()
+        indices &= (1 << s) - 1
+        ends = ends.view(np.int64)
+        indices = indices.view(np.int64)
         ends.setflags(write=False)
         tails, heads = ends
-        np.multiply(heads, node_count, out=indices[m:])
-        indices[m:] += tails
-        indices.sort()
-        np.remainder(indices, node_count, out=indices)
         degrees = np.bincount(tails, minlength=node_count)
         degrees += np.bincount(heads, minlength=node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
@@ -115,7 +119,8 @@ class Graph:
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
 
-# largest node count whose edge keys tail * n + head fit in an int64
+# largest node count: below 2**32, so the edge keys tail << s | head, s the
+# bit length of the largest node id, fit in a uint64
 _MAX_NODES = 3_037_000_499
 
 
@@ -293,10 +298,14 @@ def clustered_signal(part, coefficients):
 
 
 def is_connected(g):
-    """True when every node is reachable from node 0.
+    """True when every node is reachable from node 0."""
+    return bool(np.all(_component_labels(g) == 0))
 
-    Each node's label converges to the smallest node id in its component;
-    the labels form a forest whose parents have smaller ids. Each round
+
+def _component_labels(g):
+    """Each node's connected component, labelled by its smallest node id.
+
+    The labels form a forest whose parents have smaller ids. Each round
     hooks the larger root of every edge whose endpoints have different
     roots onto the smaller, then pointer-jumps every node to its root, so
     the number of rounds does not grow with the graph's diameter. An edge
@@ -313,4 +322,4 @@ def is_connected(g):
         lt, lh = label[tails], label[heads]
         cross = np.flatnonzero(lt != lh)
         tails, heads, lt, lh = tails[cross], heads[cross], lt[cross], lh[cross]
-    return bool(np.all(label == 0))
+    return label

@@ -1,8 +1,25 @@
 """Reference graph predicates: search over Python neighbor sets, one node
 at a time. ``rwtv.graph.is_connected`` is checked against
 :func:`reference_is_connected`, and the acceptance tests pick non-bipartite
-draws with :func:`reference_is_bipartite`.
+draws with :func:`reference_is_bipartite`. ``Graph``'s stored arrays are
+checked against :func:`reference_csr`.
 """
+
+
+def reference_csr(node_count, edges):
+    """``(edges, indptr, indices, degrees)`` of a graph as Python lists,
+    from sorted neighbor sets: the distinct edges ``[tail, head]`` with
+    ``tail < head`` in sorted order, and each node's neighbors ascending."""
+    adj = [set() for _ in range(node_count)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    neighbors = [sorted(s) for s in adj]
+    indptr = [0]
+    for ns in neighbors:
+        indptr.append(indptr[-1] + len(ns))
+    pairs = [[t, h] for t, ns in enumerate(neighbors) for h in ns if t < h]
+    return pairs, indptr, [h for ns in neighbors for h in ns], list(map(len, neighbors))
 
 
 def reference_is_connected(g):

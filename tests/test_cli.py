@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import logging
 import os
 import stat
 import subprocess
@@ -81,6 +82,37 @@ def test_output_files_get_the_mode_open_would_give(tmp_path, umask, mode):
         os.umask(old)
     assert code == 0
     assert [stat.S_IMODE(p.stat().st_mode) for p in paths] == [mode] * 3
+
+
+def test_every_writer_succeeds_without_reading_the_umask(tmp_path, monkeypatch):
+    # os.umask(0) would open a window in which every thread creates files
+    # with no umask; no writer calls it
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    g, p, x = tmp_path / "g.txt", tmp_path / "p.csv", tmp_path / "x.csv"
+    m, y, sub, mp = (tmp_path / n for n in ("m.csv", "y.csv", "sub.txt", "map.csv"))
+    commands = [
+        [
+            "generate-appm", "--sizes", "6,6", "--p", "0.9", "--q", "0.2",
+            "--seed", "5", "--out-graph", g, "--out-partition", p, "--out-signal", x,
+        ],
+        ["sample", "--graph", g, "--method", "walk", "--budget", "4", "--out", m],
+        ["recover", "--graph", g, "--samples", m, "--signal", x, "--out", y],
+        [
+            "extract-subgraph", "--graph", g, "--walk-length", "3",
+            "--out", sub, "--out-map", mp,
+        ],
+        ["experiment", "table1", "--runs", "1", "--out-dir", tmp_path / "t1"],
+        ["experiment", "clusterstats", "--runs", "1", "--out-dir", tmp_path / "cs"],
+    ]
+    for command in commands:
+        assert main(list(map(str, command))) == 0
+    written = sorted(f.name for f in tmp_path.rglob("*") if f.is_file())
+    assert [f for f in written if f.endswith(".tmp")] == []
+    assert {"g.txt", "p.csv", "x.csv", "m.csv", "y.csv", "sub.txt", "map.csv"} <= set(written)
+    assert {"table1_summary.csv", "clusterstats_clusters.csv"} <= set(written)
 
 
 def test_generate_appm_require_connected_impossible_exits_2(tmp_path):
@@ -627,6 +659,42 @@ def test_recover_warns_when_it_stops_at_the_cap(tmp_path, capsys):
     met = run_cli(*recover, "--max-iter", "5000", "--tol", "1e-5")
     assert met.returncode == 0 and "--max-iter" not in met.stderr
     assert met.stdout.splitlines()[1].endswith(" (stop: gap)")
+
+
+def recover_warnings(tmp_path, caplog, graph, sampled):
+    """The warnings ``recover`` logs on the edge list ``graph`` sampled at
+    the dense ids ``sampled``, with every node's value 1."""
+    gp, sp, xp = tmp_path / "g.txt", tmp_path / "m.csv", tmp_path / "x.csv"
+    gp.write_text(graph)
+    with open(gp) as fh:
+        n = parse_edge_list(fh)[0].node_count
+    sp.write_text("node_id\n" + "".join(f"{i}\n" for i in sampled))
+    xp.write_text("node_id,value\n" + "".join(f"{i},1.0\n" for i in range(n)))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rwtv.cli"):
+        code = main(
+            [
+                "recover", "--graph", str(gp), "--samples", str(sp),
+                "--signal", str(xp), "--out", str(tmp_path / "y.csv"),
+            ]
+        )
+    assert code == 0
+    return [r.getMessage() for r in caplog.records if r.name == "rwtv.cli"]
+
+
+def test_recover_warns_once_of_components_with_no_sampled_node(tmp_path, caplog):
+    # components {0, 1, 2}, {3, 4} and the isolated node 5; only 0 is sampled
+    warned = recover_warnings(tmp_path, caplog, "0 1\n1 2\n3 4\n5 5\n", [0])
+    assert warned == [
+        "3 node(s) in 2 connected component(s) hold no sampled node; "
+        "no sample determines their recovered values"
+    ]
+    # the same graph sampled in every component
+    assert recover_warnings(tmp_path, caplog, "0 1\n1 2\n3 4\n5 5\n", [1, 4, 5]) == []
+
+
+def test_recover_on_a_connected_graph_logs_nothing(tmp_path, caplog):
+    assert recover_warnings(tmp_path, caplog, "0 1\n1 2\n2 3\n", [0, 3]) == []
 
 
 def test_extract_subgraph_writes_map_back_to_source_ids(tmp_path, capsys):

@@ -18,7 +18,7 @@ from rwtv import (
     random_walk,
     total_variation,
 )
-from reference_graph import reference_is_bipartite, reference_is_connected
+from reference_graph import reference_csr, reference_is_bipartite, reference_is_connected
 from strategies import graphs, graphs_with_signal, graphs_with_two_signals
 
 
@@ -56,7 +56,7 @@ def test_endpoint_out_of_range_rejected():
 
 
 def test_node_count_beyond_int64_edge_keys_rejected():
-    # edge keys tail * n + head must fit in an int64
+    # the cap keeps every node id, and so each half of an edge key, in 32 bits
     with pytest.raises(ValueError, match="at most 3037000499"):
         Graph(3_037_000_500, [(0, 1)])
 
@@ -156,6 +156,28 @@ def test_csr_read_only_and_neighbors_sorted(g):
             [h for t, h in edges if t == i] + [t for t, h in edges if h == i]
         )
         assert g.neighbors(i).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2] + [c for k in range(1, 11) for c in (2**k, 2**k + 1)]
+)
+def test_csr_arrays_match_sorted_neighbor_sets_where_the_key_width_changes(n):
+    # the edge keys tail << s | head take s = max(1, (n - 1).bit_length())
+    # bits for the head, one more at each n = 2**k + 1
+    gen = np.random.default_rng(n)
+    edges = gen.integers(n, size=(3 * n, 2)).tolist()
+    if n > 1:
+        # the largest ids, duplicates and reversed duplicates
+        edges += [[0, n - 1], [n - 1, n - 2], [n - 2, n - 1], [n - 1, 0]]
+    edges = [e for e in edges if e[0] != e[1]]
+    g = Graph(n, edges)
+    pairs, indptr, indices, degrees = reference_csr(n, edges)
+    assert g.edges.tolist() == pairs
+    assert g.indptr.tolist() == indptr
+    assert g.indices.tolist() == indices
+    assert g.degrees.tolist() == degrees
+    for arr in (g.edges, g.tails, g.heads, g.indptr, g.indices, g.degrees):
+        assert arr.dtype == np.int64
 
 
 @given(graphs(max_nodes=9))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rwtv.fileio
 from rwtv import Graph, Partition, RngSeed, SamplingSet
 from rwtv.fileio import (
     extract_subgraph,
@@ -217,6 +218,171 @@ def test_parse_peak_memory_stays_a_small_multiple_of_the_text(tmp_path):
         tracemalloc.stop()
     assert g.node_count == ext.size > 15_000
     assert peak < 6 * len(text)
+
+
+# plain ids: 1 to 18 digits, leading zeros included
+PLAIN_IDS = st.one_of(
+    st.integers(0, 6), st.integers(0, 10**18 - 1)
+).flatmap(lambda i: st.integers(len(str(i)), 18).map(lambda w: str(i).zfill(w)))
+
+
+@st.composite
+def plain_texts(draw):
+    pairs = draw(st.lists(st.tuples(PLAIN_IDS, PLAIN_IDS), min_size=1, max_size=12))
+    # self-loops and reversed duplicates
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3)):
+        pairs.append(pairs[i][::-1])
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=2)):
+        pairs.append((pairs[i][0], pairs[i][0]))
+    pairs = draw(st.permutations(pairs))
+    blanks = draw(st.lists(st.sampled_from(" \t"), min_size=len(pairs)))
+    comments = draw(st.lists(st.text(st.sampled_from("ab #\t01"), max_size=6)))
+    text = "".join(f"#{c}\n" for c in comments)
+    text += "".join(f"{a}{b}{h}\n" for (a, h), b in zip(pairs, blanks))
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def loadtxt_pairs(text):
+    return np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+
+
+@given(plain_texts())
+def test_plain_path_reads_what_loadtxt_reads(text):
+    pairs = rwtv.fileio._read_plain_pairs(text)
+    assert pairs is not None
+    expected = loadtxt_pairs(text)
+    assert pairs.dtype == np.int64 and pairs.shape == expected.shape
+    assert np.array_equal(pairs, expected)
+
+
+@pytest.fixture
+def tokenizer_calls(monkeypatch):
+    """The names of the tokenizers ``np.fromstring`` and ``np.loadtxt``
+    that each parse calls, in order."""
+    calls = []
+    for name in ("fromstring", "loadtxt"):
+        def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+def reference_outcome(text):
+    try:
+        node_count, edges, id_map = reference_parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return node_count, edges, list(id_map)
+
+
+def parse_outcome(text):
+    try:
+        g, ext = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.node_count, g.edges.tolist(), ext.tolist()
+
+
+def test_a_plain_text_takes_the_fromstring_path(tokenizer_calls):
+    text = "# header\n# more\n5 900\n900\t7\n7 7\n123456789012345678 5"
+    assert parse_outcome(text) == reference_outcome(text)
+    assert tokenizer_calls == ["fromstring"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\n1  2\n",  # two blanks
+        "0 1\n1 2 \n",  # a trailing blank
+        "0 1\n\n1 2\n",  # a blank line
+        "0 1\n# c\n1 2\n",  # a comment after data
+        "0 1\n+3 2\n",
+        f"0 1\n{10**18} 2\n",  # a 19-digit id
+        f"0 1\n{'0' * 19} 2\n",
+        "0 1\n\uff13 2\n",  # a non-ASCII digit
+        "0 1\n2 #\n",  # a lone "#" after an id
+        "0 1\n1 2\n3\n",
+        "0 1\n3",
+        " 0 1\n",
+        "0 1\n 2\n",
+        "0 1\n2 \n",
+        "0 1\n1e3 2\n",
+        " 7\n0 1\n",
+        "0 1\n1+2\n",
+        "0 1\n1\x0c2\n",  # a form feed, which loadtxt reads as a blank
+    ],
+)
+def test_other_texts_take_the_loadtxt_path(tokenizer_calls, text):
+    assert rwtv.fileio._read_plain_pairs(text) is None
+    assert parse_outcome(text) == reference_outcome(text)
+    assert "fromstring" not in tokenizer_calls
+
+
+def test_plain_texts_are_checked_in_every_chunk():
+    # a text of several _CHUNK-byte chunks: plain, then with one bad line
+    # in its last chunk
+    lines = [f"{i} {i * 7919 % 100003}" for i in range(3 * rwtv.fileio._CHUNK // 10)]
+    text = "# header\n" + "\n".join(lines) + "\n"
+    assert len(text) > 2 * rwtv.fileio._CHUNK
+    assert np.array_equal(rwtv.fileio._read_plain_pairs(text), loadtxt_pairs(text))
+    for bad in ("1  2", "1 2 ", "", " 1", f"1 {10**18}", "1 +2", "1"):
+        lines[-3] = bad
+        text = "\n".join(lines) + "\n"
+        assert rwtv.fileio._read_plain_pairs(text) is None
+        assert parse_outcome(text) == reference_outcome(text)
+
+
+def test_other_texts_read_and_fail_as_the_line_reference_says():
+    assert parse_outcome("0 1\n1  2\n+3 2\n\n# c\n") == (4, [[0, 1], [1, 2], [2, 3]], [0, 1, 2, 3])
+    assert parse_outcome(f"0 1\n{10**18} 2\n")[2] == [0, 1, 2, 10**18]
+    assert parse_outcome("0 1\n\uff13 2\n") == "line 2: non-integer node id in '\uff13 2'"
+    assert parse_outcome("0 1\n2 #\n") == "line 2: non-integer node id in '2 #'"
+
+
+def parse_counting_argsorts(text):
+    """The parse of ``text`` and whether it took the argsort fallback."""
+    calls, real = [], np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", spy)
+        g, ext = parse(text)
+    return g, ext, bool(calls)
+
+
+@pytest.mark.parametrize(
+    "span, fallback", [(2**20, False), (2**59 - 1, False), (2**59, True), (2**62, True)]
+)
+def test_ids_too_far_apart_to_pack_take_the_argsort_fallback(span, fallback):
+    # 8 ids take 4 bits of position beside the id offset, so spans of up to
+    # 59 bits pack into 63
+    text = f"0 {span}\n{span} 3\n3 0\n1 2\n"
+    g, ext, took = parse_counting_argsorts(text)
+    assert took == fallback
+    assert ext.tolist() == [0, 1, 2, 3, span]
+    assert g.edges.tolist() == [[0, 3], [0, 4], [1, 2], [3, 4]]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=20),
+    st.booleans(),
+    st.sampled_from([1, 12345, 2**40, 2**61]),
+)
+def test_shifting_every_id_shifts_ext_and_keeps_the_graph(pairs, far, shift):
+    # far ids span 2**62, so they take the argsort fallback
+    pairs = [(a + far * 2**62 * (a > 30), b + far * 2**62 * (b > 30)) for a, b in pairs]
+    g, ext, took = parse_counting_argsorts("".join(f"{a} {b}\n" for a, b in pairs))
+    shifted, shifted_ext, shifted_took = parse_counting_argsorts(
+        "".join(f"{a + shift} {b + shift}\n" for a, b in pairs)
+    )
+    assert took == shifted_took == (far and len({i > 30 for p in pairs for i in p}) == 2)
+    assert shifted == g
+    assert shifted_ext.tolist() == [i + shift for i in ext.tolist()]
 
 
 def test_parse_drops_self_loops_with_warning(caplog):
