@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 validation/input error, 2 runtime failure (for
 example an unreachable sampling budget or a walk too long to allocate).
-Output files are written to a temporary name and renamed on success, so
-failures never leave partial files behind.
+Each command checks its options before it reads any file, so a bad
+option is the error reported, whatever the files hold. Output files are
+written to a temporary name and renamed on success, so failures never
+leave partial files behind.
 """
 
 from __future__ import annotations
@@ -132,10 +134,11 @@ def _cmd_generate_appm(args):
 
 
 def _cmd_sample(args):
-    g, _ = _load_graph(args.graph, args.drop_isolated)
     seed = RngSeed(args.seed)
     if args.method == "walk":
         cfg = WalkConfig(length=args.walk_length, budget=args.budget)
+    g, _ = _load_graph(args.graph, args.drop_isolated)
+    if args.method == "walk":
         m = random_walk_sampling(g, cfg, seed)
     else:
         m = uniform_sampling(g, args.budget, seed)
@@ -165,6 +168,7 @@ def _cmd_check(args):
 
 
 def _cmd_recover(args):
+    cfg = SlpConfig(max_iterations=args.max_iter, gap_tol=args.tol)
     g, _ = _load_graph(args.graph, args.drop_isolated)
     with open(args.samples) as fh:
         m = read_sampling(fh, g.node_count)
@@ -172,7 +176,6 @@ def _cmd_recover(args):
         observed, truth = read_observations(fh, m, g.node_count)
 
     _warn_unsampled_components(g, m)
-    cfg = SlpConfig(max_iterations=args.max_iter, gap_tol=args.tol)
     result = slp_recover(g, m, observed, cfg)
     _atomic_write(args.out, lambda fh: write_signal(result.recovered, fh))
     print(f"recovered in {result.iterations_run} iterations")
@@ -252,8 +255,9 @@ def _cmd_experiment(args):
 
 
 def _cmd_extract_subgraph(args):
+    seed = RngSeed(args.seed)
     g, ext = _load_graph(args.graph, args.drop_isolated)
-    sub, kept = extract_subgraph(g, args.walk_length, RngSeed(args.seed))
+    sub, kept = extract_subgraph(g, args.walk_length, seed)
     _atomic_write(args.out, lambda fh: write_edge_list(sub, fh))
     if args.out_map:
         def write_map(fh):

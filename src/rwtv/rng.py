@@ -28,10 +28,13 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
+        # Python and numpy integers pass, stored as int; a bool does not
         for name in ("seed", "stream"):
             v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < _U64:
+            integer = isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            if not (integer and 0 <= int(v) < _U64):
                 raise ValueError(f"{name} must be an integer in [0, 2**64)")
+            object.__setattr__(self, name, int(v))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
@@ -42,8 +45,7 @@ class RngSeed:
 
         ``index`` must be an integer in [0, 2**63): a fractional, infinite
         or NaN index raises ``ValueError`` rather than being truncated, and
-        so does an index of 2**63 or more, which earlier versions accepted
-        modulo 2**64.
+        so does an index of 2**63 or more.
         """
         index = int(_check_ids(index, "substream indices"))
         if index < 0:

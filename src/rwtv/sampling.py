@@ -102,6 +102,8 @@ class SamplingSet:
 
     def __post_init__(self):
         ids = _check_ids(self.nodes, "node ids")
+        if ids.ndim != 1:
+            raise ValueError("sampling set nodes must be a 1-d sequence")
         nodes = np.unique(ids)
         if nodes.size != ids.size:
             raise ValueError("sampling set nodes must be distinct")

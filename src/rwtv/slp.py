@@ -72,14 +72,15 @@ optimum is at least ``sum_{i in M} obs_i r_i - sum_{i not in M} |r_i|``.
 One loop solves one problem or many. Many problems are solved as their
 disjoint union: node and edge ids are offset per problem, each problem's
 steps fill its own nodes and edges, and each problem stops and restarts
-on its own, with its total variations and bounds summed over its own
-contiguous node and edge ranges. Its rounding searches its own observed
-values only, in one search per problem. Every update is elementwise or
-sums within one problem in the same order as a lone solve, so each
-problem's result is bit-identical to solving it alone. When a problem
-stops, its output is mapped back, and the per-problem arrays and the
-iterates keep only the problems still running, laid out afresh.
-:func:`slp_recover` is a batch of one.
+on its own, with its ``lam`` from its own last restart and its total
+variations and bounds summed over its own contiguous node and edge
+ranges. Its rounding searches its own observed values only, in one
+search per problem. Every update is elementwise or sums within one
+problem in the same order as a lone solve, so each problem's result is
+bit-identical to solving it alone. When a problem stops, its output is
+mapped back, and the per-problem arrays and the iterates keep only the
+problems still running, laid out afresh. :func:`slp_recover` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -239,8 +240,9 @@ def _recover_batch(problems, cfg):
         unit = ((values - mid) / half, (levels - mid) / half)
         live.append((g, m, _steps(g), *unit, (values, levels, mid, half)))
     # per live problem, compacted with the iterates: its input slot, primal
-    # weight, last restart's iteration and gap, and its gap at the previous
-    # check since (inf right after a restart)
+    # weight, last restart's iteration (the one count its lam comes from)
+    # and gap, and its gap at the previous check since (inf right after a
+    # restart)
     ids = np.arange(len(live))
     omega = np.ones(len(live))
     start = np.zeros(len(live), dtype=np.int64)
@@ -282,7 +284,6 @@ def _recover_batch(problems, cfg):
         first_level = np.repeat(level_starts, counts)
         last_level = np.repeat(level_starts + level_counts - 1, counts)
         n = x.size
-        shared = _shared_start(start)
 
         def tv_of(v):
             """Each live problem's total variation of the node signal ``v``."""
@@ -302,16 +303,14 @@ def _recover_batch(problems, cfg):
             ext = 2.0 * x1 - x
             y1 = _box(y + _d(ext * step_y, tails, heads))
             # the Halpern step: anchor + lam (2 T(x, y) - (x, y) - anchor),
-            # whose primal half is anchor + lam (ext - anchor)
-            if shared is not None:
-                # every live problem last restarted at iteration shared, as
-                # a lone one does (every CLI recover) and all do up to the
-                # second check: one scalar lam
-                lam_x = lam_y = (k - shared + 1.0) / (k - shared + 2.0)
-            else:
-                j = k - start
-                lam = (j + 1.0) / (j + 2.0)
-                lam_x, lam_y = np.repeat(lam, counts), np.repeat(lam, edge_counts)
+            # whose primal half is anchor + lam (ext - anchor), with each
+            # problem's lam = (j + 1) / (j + 2) after the j = k - start
+            # iterations since its own last restart: a scalar for a lone
+            # problem (every CLI recover), else spread over its nodes and edges
+            j = k - (int(start[0]) if len(live) == 1 else start)
+            lam_x = lam_y = (j + 1.0) / (j + 2.0)
+            if len(live) > 1:
+                lam_x, lam_y = np.repeat(lam_x, counts), np.repeat(lam_y, edge_counts)
             ext -= x_r
             ext *= lam_x
             x = ext + x_r
@@ -349,7 +348,6 @@ def _recover_batch(problems, cfg):
             if np.count_nonzero(restart):
                 restart_gap[restart] = gap[restart]
                 start[restart] = k
-                shared = _shared_start(start)
                 # from the third check on, re-balance the steps by the
                 # movement from the anchor, in the norms of the base steps
                 dx, dy = x1 - x_r, y1 - y_r
@@ -404,13 +402,6 @@ def _recover_batch(problems, cfg):
         live = [p for p, stop in zip(live, done) if not stop]
 
     return results
-
-
-def _shared_start(start):
-    """The iteration of the last restart when every live problem's is that
-    one, else ``None``."""
-    first = int(start[0])
-    return first if np.all(start == first) else None
 
 
 def nmse(x_hat, x_true):

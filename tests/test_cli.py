@@ -730,6 +730,50 @@ def test_missing_input_file_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("graph", ["missing", "two components"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recover", "--tol", "-1"], "gap_tol must be finite and >= 0"),
+        (["recover", "--max-iter", "0"], "max_iterations must be >= 1"),
+        (["sample", "--method", "uniform", "--seed", "-1"], "seed must be an integer"),
+        (["sample", "--method", "walk", "--walk-length", "0"], "walk length must be"),
+        (["extract-subgraph", "--walk-length", "3", "--seed", "-1"], "seed must be"),
+    ],
+    ids=["recover-tol", "recover-max-iter", "sample-seed", "sample-length", "extract-seed"],
+)
+def test_options_are_checked_before_any_file_is_read(
+    tmp_path, capsys, caplog, graph, argv, message
+):
+    # on the two-component graph a recover would warn of the unsampled
+    # component first, and on the missing one report the missing file
+    gp, sp, xp = tmp_path / "g.txt", tmp_path / "m.csv", tmp_path / "x.csv"
+    if graph == "two components":
+        gp.write_text("0 1\n1 2\n3 4\n")
+        sp.write_text("node_id\n0\n")
+        xp.write_text("node_id,value\n" + "".join(f"{i},1.0\n" for i in range(5)))
+    before = sorted(tmp_path.iterdir())
+    inputs = {
+        "recover": ["--samples", str(sp), "--signal", str(xp)],
+        "sample": ["--budget", "1"],
+    }.get(argv[0], [])
+    out = ["--out", str(tmp_path / "out.csv")]
+    with caplog.at_level(logging.WARNING):
+        code = main(argv[:1] + ["--graph", str(gp), *inputs, *argv[1:], *out])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_sample_uniform_ignores_the_walk_length(tmp_path):
+    gp, out = tmp_path / "g.txt", tmp_path / "m.csv"
+    gp.write_text("0 1\n1 2\n")
+    argv = ["sample", "--graph", str(gp), "--method", "uniform", "--budget", "2"]
+    assert main(argv + ["--walk-length", "0", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_usage_error_exits_1():
     assert main(["sample", "--definitely-not-a-flag"]) == 1
     assert main(["no-such-command"]) == 1

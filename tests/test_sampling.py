@@ -529,6 +529,8 @@ def test_per_cluster_counts_track_cut_sizes():
         (lambda: WalkConfig(0, 3), "walk length must be >= 1"),
         (lambda: SamplingSet(nodes=[1, 1]), "distinct"),
         (lambda: SamplingSet(nodes=[-1]), "nonnegative"),
+        (lambda: SamplingSet(nodes=[[0, 1], [2, 3]]), "must be a 1-d sequence"),
+        (lambda: SamplingSet(nodes=5), "must be a 1-d sequence"),
     ],
 )
 def test_invalid_walk_config_and_sampling_set_rejected(call, message):
@@ -655,3 +657,9 @@ def test_adding_samples_never_breaks_satisfied(g, data):
         grown = sorted(base | extra)
         m2 = SamplingSet(nodes=np.array(grown))
         assert check_nullspace_condition(g, part, m2).satisfied
+
+
+def test_an_empty_1d_sampling_set_stays_valid():
+    for nodes in ([], np.array([], dtype=np.int64)):
+        m = SamplingSet(nodes=nodes)
+        assert len(m) == 0 and m.nodes.dtype == np.int64

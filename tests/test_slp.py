@@ -25,7 +25,7 @@ from rwtv import (
     uniform_sampling,
 )
 from rwtv.experiments import BENCHMARK_SLP, BENCHMARK_WALK_LENGTH, benchmark_trial_spec
-from rwtv.slp import _DUAL_STEP, _recover_batch, _shared_start, _steps
+from rwtv.slp import _DUAL_STEP, _recover_batch, _steps
 from lp_oracle import dense_incidence, tv_min_lp
 from reference_slp import nearest_observed, reference_slp
 from strategies import graphs
@@ -343,25 +343,18 @@ def test_certified_batch_matches_serial_solves_bit_for_bit(monkeypatch):
     assert [r.iterations_run for r in fixed] != iterations
 
 
-def test_batch_matches_lone_solves_after_the_shared_lam_ends(monkeypatch):
-    # every problem restarts at the first two checks, so the batch steps
-    # with one shared lam until the third, where only some of them restart
-    problems = [reference_trial(10, index) for index in range(8)]
-    serial = [slp_recover(g, m, v, BENCHMARK_SLP) for g, m, v in problems]
-    starts = []
-
-    def recording(start):
-        starts.append(set(start.tolist()))
-        return _shared_start(start)
-
-    monkeypatch.setattr("rwtv.slp._shared_start", recording)
-    batch = _recover_batch(problems, BENCHMARK_SLP)
-    for a, b in zip(batch, serial):
-        assert a.iterations_run == b.iterations_run
-        assert a.recovered.tobytes() == b.recovered.tobytes()
-        assert (a.gap, a.lower_bound) == (b.gap, b.lower_bound)
-    assert starts[:3] == [{0}, {10}, {20}]
-    assert {20, 30} in starts
+def test_batch_matches_lone_solves_after_the_shared_lam_ends():
+    # in the first batch every problem restarts at the first two checks, so
+    # all share one lam until the third, where only some of them restart;
+    # in the other two, the copies of p restart together throughout
+    p, q = reference_trial(10, 3), reference_trial(50, 1)
+    batches = [[reference_trial(10, index) for index in range(8)], [p, p, p], [p, q, p]]
+    for problems in batches:
+        serial = [slp_recover(g, m, v, BENCHMARK_SLP) for g, m, v in problems]
+        for a, b in zip(_recover_batch(problems, BENCHMARK_SLP), serial):
+            assert a.iterations_run == b.iterations_run
+            assert a.recovered.tobytes() == b.recovered.tobytes()
+            assert (a.gap, a.lower_bound) == (b.gap, b.lower_bound)
 
 
 def test_certified_stops_are_within_gap_tol_of_the_lp_optimum():
