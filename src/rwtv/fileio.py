@@ -7,12 +7,13 @@ dense 0-based ids (ascending external order); the external ids are
 returned as an array, ``ext[dense]``, so results can be written back in
 the original id space.
 
-An edge list is read by one of two tokenizers. A plain text, ASCII whose
+An edge list is read by one of two readers. A plain text, ASCII whose
 lines after any leading ``#`` lines are each two ids of 1 to 18 digits
-joined by one space or tab, is read by one ``np.fromstring``; any other
-text (signs, longer ids, extra blanks, blank lines, later comments, CR
-line ends left in the text, non-ASCII characters) by ``np.loadtxt``,
-whose failures name the first bad line. Both read the same ids.
+joined by one space or tab, is read by one ``np.fromstring``. Any other
+text (signs, longer ids, extra blanks, blank lines, later comments,
+non-ASCII characters) is read in chunks of whole lines: a plain chunk by
+``np.fromstring``, any other chunk line by line, by the grammar whose
+failures name the first bad line. Both read the same ids.
 
 Signals, partitions, and sampling sets are small headered CSV files.
 Floats are written with shortest round-trip precision, so files re-read
@@ -24,7 +25,6 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -72,10 +72,12 @@ def parse_edge_list(fh, drop_isolated=False):
 
     The file is read whole with one ``read``. Its ids are parsed by one
     ``np.fromstring`` call when every line after any leading ``#`` lines
-    is plain (two ids of 1 to 18 ASCII digits joined by one space or tab),
-    and by one ``np.loadtxt`` call otherwise. They are made dense in place
-    by one sort: O(m log m) time for m lines, and a peak memory of about
-    four times the text's size, most of it kept by the returned graph.
+    is plain (two ids of 1 to 18 ASCII digits joined by one space or tab).
+    Any other text is read in chunks of whole lines, a plain chunk by
+    ``np.fromstring`` and any other line by line. The ids are made dense
+    in place by one sort: O(m log m) time for m lines, and a peak memory
+    of about four times the text's size, most of it kept by the returned
+    graph.
     """
     # the text is freed once its pairs are parsed
     pairs = _read_pairs(_translate_line_ends(fh.read()))
@@ -106,22 +108,9 @@ def _translate_line_ends(text):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-# characters of text split into lines at a time by _line_lists
+# characters of text read or checked at a time by _read_pairs and
+# _plain_lines; each chunk ends at a line end
 _CHUNK = 1 << 16
-
-
-def _line_lists(text):
-    """The lines of ``text``, split on ``"\\n"`` only (``str.splitlines``
-    also splits on form feeds and other characters ``np.loadtxt`` reads as
-    blanks), in lists of about ``_CHUNK`` characters; a final empty line
-    is left out."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK)
-        if end < 0:
-            end = len(text)
-        yield text[start:end].split("\n")
-        start = end + 1
 
 
 def _read_pairs(text):
@@ -129,25 +118,23 @@ def _read_pairs(text):
     that is neither blank nor a comment.
 
     A plain text (see :func:`_read_plain_pairs`) is read by one
-    ``np.fromstring``; any other text by ``np.loadtxt``, whose failures
-    name the first bad line.
+    ``np.fromstring``. Any other text is read in chunks of about
+    ``_CHUNK`` characters of whole lines, a plain chunk by
+    ``np.fromstring`` and any other by :func:`_read_line_pairs`, whose
+    failures name the first bad line.
     """
     pairs = _read_plain_pairs(text)
     if pairs is not None:
         return pairs
-    if not _holds_data(text):
-        # loadtxt would warn on an input with no data
-        return np.empty((0, 2), dtype=np.int64)
-    try:
-        # lines rather than an io.StringIO, which would copy the text at
-        # four bytes per character
-        lines = chain.from_iterable(_line_lists(text))
-        pairs = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
-    except ValueError as exc:
-        _raise_first_bad_line(text, exc)
-    if pairs.shape[1] != 2 or pairs.min() < 0:
-        _raise_first_bad_line(text, None)
-    return pairs
+    chunks, lineno, start = [np.empty((0, 2), dtype=np.int64)], 1, 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end]
+        pairs = _read_plain_pairs(chunk)
+        chunks.append(_read_line_pairs(chunk, lineno) if pairs is None else pairs)
+        lineno += chunk.count("\n")
+        start = end
+    return np.concatenate(chunks)
 
 
 # longest id of a plain line: 18 digits are below 10**18 < 2**63
@@ -161,7 +148,7 @@ def _read_plain_pairs(text):
     start with ``#``, every line is 1 to 18 digits, one space or tab, and
     1 to 18 digits, the last line with or without its line end. No line of
     a plain text is blank or malformed, and every id is in ``[0, 2**63)``,
-    so ``np.fromstring`` reads it as ``np.loadtxt`` would.
+    so ``np.fromstring`` reads it as :func:`_read_line_pairs` would.
     """
     start = 0
     while text.startswith("#", start):
@@ -212,26 +199,6 @@ def _plain_lines(raw, start):
     return lines
 
 
-_NON_BLANK = re.compile(r"\S")
-
-
-def _holds_data(text):
-    """Whether ``text`` holds anything but comment lines and blank lines.
-
-    ``np.loadtxt`` would cut a line short at any ``#``, so a ``#`` that
-    follows a non-blank character on its line raises that line's error.
-    """
-    data, end, pos = False, 0, text.find("#")
-    while pos >= 0:
-        start = text.rfind("\n", 0, pos) + 1
-        if _NON_BLANK.search(text, start, pos):
-            _raise_first_bad_line(text, None)
-        data = data or _NON_BLANK.search(text, end, start) is not None
-        end = text.find("\n", pos) + 1 or len(text)
-        pos = text.find("#", end)
-    return data or _NON_BLANK.search(text, end) is not None
-
-
 def _densify(pairs):
     """Overwrite each id of the C-contiguous int64 array ``pairs`` with its
     index among the distinct ids, and return those ids ascending.
@@ -272,10 +239,13 @@ def _densify(pairs):
     return distinct
 
 
-def _raise_first_bad_line(text, cause):
-    """Raise the ``line N:`` error for the first line of ``text`` that is
-    not a pair of node ids in ``[0, 2**63)``."""
-    for lineno, raw in enumerate(text.split("\n"), 1):
+def _read_line_pairs(text, first):
+    """The ``(m, 2)`` int64 id pairs of the lines of ``text`` that are
+    neither blank nor a comment, read one line at a time; the first line
+    that is not a pair of node ids in ``[0, 2**63)`` raises its ``line N:``
+    error, ``first`` being the file line number of the text's first line."""
+    ids = []
+    for lineno, raw in enumerate(text.split("\n"), first):
         s = raw.strip()
         if not s or s.startswith("#"):
             continue
@@ -296,7 +266,8 @@ def _raise_first_bad_line(text, cause):
             raise ValueError(
                 f"line {lineno}: node id outside [0, 2**63) in {raw.rstrip()!r}"
             )
-    raise ValueError(f"malformed edge list: {cause}") from cause
+        ids += [int(d or "0") for d in digits]
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
 
 
 def write_edge_list(g, fh):
@@ -323,23 +294,27 @@ def _read_table(fh, header, types):
     written in ASCII decimal or exponent notation, or as inf or nan.
     """
     reader = csv.reader(fh)
-    first = next(reader, None)
-    if first is None:
-        raise ValueError("empty file: missing header")
-    if [h.strip() for h in first] != header:
-        raise ValueError(
-            f"expected header {','.join(header)!r}, got {','.join(first)!r}"
-        )
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ValueError("empty file: missing header")
+        if [h.strip() for h in first] != header:
             raise ValueError(
-                f"line {reader.line_num}: expected {len(header)} fields, "
-                f"got {len(row)}"
+                f"expected header {','.join(header)!r}, got {','.join(first)!r}"
             )
-        rows.append(row)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            rows.append(row)
+    except csv.Error as exc:
+        # such as a field over csv's field size limit
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     columns = list(zip(*rows)) or [()] * len(header)
     try:
         return tuple(

@@ -400,6 +400,37 @@ def test_check_int64_overflow_exits_1_with_error_line(tmp_path, partition, sampl
     assert_one_error_line(proc)
 
 
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_a_field_over_the_csv_limit_exits_1_with_error_line(tmp_path, command):
+    gp, sp = write_path_instance(tmp_path)
+    # csv's default field size limit is 131072 characters
+    long_field = "0," + "1" * 131073 + "\n"
+    pp, xp, out = tmp_path / "p.csv", tmp_path / "x.csv", tmp_path / "xhat.csv"
+    pp.write_text("node_id,cluster_id\n" + long_field)
+    xp.write_text("node_id,value\n" + long_field)
+    if command == "check":
+        proc = run_cli("check", "--graph", gp, "--partition", pp, "--samples", sp)
+    else:
+        proc = run_cli(
+            "recover", "--graph", gp, "--samples", sp, "--signal", xp, "--out", out
+        )
+    assert_one_error_line(proc)
+    assert proc.stderr == "error: line 2: field larger than field limit (131072)\n"
+    assert not out.exists()
+
+
+def test_sample_on_an_id_holding_a_non_ascii_digit_exits_1_with_error_line(tmp_path):
+    # np.loadtxt in numpy 2.4 read "2\u0968" as the id 2380
+    gp, out = tmp_path / "g.txt", tmp_path / "m.csv"
+    gp.write_text("0 1\n1 2\u0968\n2 0\n", encoding="utf-8")
+    proc = run_cli(
+        "sample", "--graph", gp, "--method", "uniform", "--budget", "2", "--out", out
+    )
+    assert_one_error_line(proc)
+    assert proc.stderr == "error: line 2: non-integer node id in '1 2\u0968'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_experiment_workers_below_one_exits_1_with_error_line(tmp_path, workers):
     proc = run_cli(

@@ -164,7 +164,10 @@ BAD_LINES = st.one_of(
     st.tuples(
         NODE_IDS,
         st.sampled_from(
-            [" -5", " 1.0", " x", " 1_0", f" {2**63}", " 1" + "0" * 30, " \uff13"]
+            [
+                " -5", " 1.0", " x", " 1_0", f" {2**63}", " 1" + "0" * 30,
+                " \uff13", " 2\u0968", " \u01fe",
+            ]
         ),
     ).map("".join),
 )
@@ -314,10 +317,55 @@ def test_a_plain_text_takes_the_fromstring_path(tokenizer_calls):
         "0 1\n1\x0c2\n",  # a form feed, which loadtxt reads as a blank
     ],
 )
-def test_other_texts_take_the_loadtxt_path(tokenizer_calls, text):
+def test_other_texts_take_the_line_reader(tokenizer_calls, text):
     assert rwtv.fileio._read_plain_pairs(text) is None
     assert parse_outcome(text) == reference_outcome(text)
     assert "fromstring" not in tokenizer_calls
+    assert "loadtxt" not in tokenizer_calls
+
+
+# characters that np.loadtxt in numpy 2.4 reads as digits: a Devanagari
+# digit, a Latin letter, a circled digit and a private-use character
+@pytest.mark.parametrize("char", ["\u0968", "\u01fe", "\u2460", "\ue3e2"])
+@pytest.mark.parametrize("line", ["1 2{}", "1 {}2", "1 {}"])
+def test_non_ascii_characters_in_an_id_are_errors(line, char):
+    text = f"0 1\n{line.format(char)}\n2 0\n"
+    assert parse_outcome(text) == reference_outcome(text)
+    assert parse_outcome(text).startswith("line 2: non-integer node id in")
+
+
+def mixed_chunk_lines():
+    """The lines of a text of more than three ``_CHUNK``s, plain but for one
+    double-blank line in its second chunk, and the indices of a line in
+    that odd chunk and of one in the plain chunk after it."""
+    chunk = rwtv.fileio._CHUNK
+    lines = [f"{i} {i * 7919 % 100003}" for i in range(4 * chunk // 10)]
+    text = "\n".join(lines)
+    assert len(text) > 3 * chunk
+    odd = text.count("\n", 0, 3 * chunk // 2)
+    lines[odd] = lines[odd].replace(" ", "  ")
+    return lines, odd + 50, text.count("\n", 0, 5 * chunk // 2)
+
+
+def test_plain_and_odd_chunks_read_as_the_line_reference(tokenizer_calls):
+    lines, _, _ = mixed_chunk_lines()
+    text = "\n".join(lines) + "\n"
+    assert rwtv.fileio._read_plain_pairs(text) is None
+    assert parse_outcome(text) == reference_outcome(text)
+    # the plain chunks before and after the odd one
+    assert tokenizer_calls.count("fromstring") >= 2
+    assert "loadtxt" not in tokenizer_calls
+
+
+@pytest.mark.parametrize("bad", ["1 2\u0968", "1 -2", "1", "1 2 3"])
+@pytest.mark.parametrize("where", ["odd chunk", "later plain chunk"])
+def test_a_bad_line_in_a_mixed_text_names_its_line(bad, where):
+    lines, in_odd, in_plain = mixed_chunk_lines()
+    index = in_odd if where == "odd chunk" else in_plain
+    lines[index] = bad
+    text = "\n".join(lines) + "\n"
+    assert parse_outcome(text) == reference_outcome(text)
+    assert parse_outcome(text).startswith(f"line {index + 1}: ")
 
 
 def test_plain_texts_are_checked_in_every_chunk():
@@ -594,6 +642,21 @@ PARTITION = "node_id,cluster_id\n"
 def test_node_table_readers_reject_malformed_rows(reader, text, message):
     with pytest.raises(ValueError, match=message):
         NODE_TABLE_READERS[reader](io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "reader, head, line",
+    [
+        ("signal", SIGNAL + "0,", 2),
+        ("partition", PARTITION + "0,0\n1,", 3),
+        ("sampling", "node_id\n", 2),
+    ],
+)
+def test_node_table_readers_reject_a_field_over_the_csv_limit(reader, head, line):
+    # csv's default field size limit is 131072 characters
+    with pytest.raises(ValueError) as info:
+        NODE_TABLE_READERS[reader](io.StringIO(head + "1" * 131073 + "\n"))
+    assert str(info.value) == f"line {line}: field larger than field limit (131072)"
 
 
 def test_node_table_readers_accept_blank_lines_crlf_and_int64_extremes():
